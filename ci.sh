@@ -34,6 +34,18 @@ SMOKESCREEN_THREADS=1 cargo test -q --offline --workspace
 echo "=== test suite @ SMOKESCREEN_THREADS=8 ==="
 SMOKESCREEN_THREADS=8 cargo test -q --offline --workspace
 
+echo "=== stray files: the test suites leave nothing untracked behind ==="
+# A test that writes into the checkout instead of a temp directory (a
+# store opened on an empty path lands in the working directory) shows up
+# as an untracked file. Only untracked files are gated: parallel_speedup
+# rewrites its tracked CSV by design.
+stray="$(git status --porcelain --untracked-files=all | grep '^??' || true)"
+if [ -n "$stray" ]; then
+  echo "the test suites left untracked files in the checkout:" >&2
+  echo "$stray" >&2
+  exit 1
+fi
+
 echo "=== chaos suite: fault rates {0, 0.05} x threads {1, 8, 16} ==="
 # Deterministic fault injection: rate 0 must be byte-invisible; rate 0.05
 # must injure model calls yet replay byte-identically at any worker

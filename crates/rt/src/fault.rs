@@ -594,7 +594,7 @@ impl NetFaultPlan {
 
 /// Strictly parses a seed variable: unset defaults to 0, anything set
 /// must be a decimal `u64`.
-fn parse_seed(var: &str, raw: Option<&str>) -> Result<u64, String> {
+pub fn parse_seed(var: &str, raw: Option<&str>) -> Result<u64, String> {
     match raw {
         None => Ok(0),
         Some(s) => s.trim().parse().map_err(|_| {
@@ -605,7 +605,7 @@ fn parse_seed(var: &str, raw: Option<&str>) -> Result<u64, String> {
 
 /// Strictly parses a rate variable: unset means disabled, anything set
 /// must be a finite `f64` in `[0, 1]`.
-fn parse_rate(var: &str, raw: Option<&str>) -> Result<Option<f64>, String> {
+pub fn parse_rate(var: &str, raw: Option<&str>) -> Result<Option<f64>, String> {
     match raw {
         None => Ok(None),
         Some(s) => {
@@ -622,8 +622,10 @@ fn parse_rate(var: &str, raw: Option<&str>) -> Result<Option<f64>, String> {
 }
 
 /// Avalanches `(seed, key)` into one well-mixed 64-bit stream seed
-/// (SplitMix64 finalizer over both words).
-fn mix(seed: u64, key: u64) -> u64 {
+/// (SplitMix64 finalizer over both words). Shared by every seeded plan;
+/// plans driven by one seed stay independent by XOR-ing their own stream
+/// salt into the seed first.
+pub fn mix(seed: u64, key: u64) -> u64 {
     let mut x = seed ^ key.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

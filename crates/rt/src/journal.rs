@@ -1,22 +1,35 @@
-//! Crash-consistent append-only journals — the durability substrate for
-//! checkpoint/resume.
+//! Crash-consistent record logs — the durability substrate for
+//! checkpoint/resume and for the profile store.
 //!
-//! A journal is a single file holding a versioned header followed by a
-//! sequence of length-and-checksum framed records. The format is designed
-//! around one failure model: **the process can die at any byte**. Every
-//! corruption a kill can produce — a torn (half-written) tail record, a
-//! file that stops mid-header, a zero-byte file created but never written
-//! — is detected on replay and quarantined, never trusted and never
-//! panicked on. Bit-rot (a flipped byte in the middle of the file) is
-//! caught by per-record checksums; replay keeps the valid prefix and
-//! discards everything from the first damaged record onward, because
-//! framing downstream of damage cannot be trusted.
+//! A record log is a single file holding a versioned header followed by
+//! a sequence of length-and-checksum framed records. The format is
+//! designed around one failure model: **the process can die at any
+//! byte**. Every corruption a kill can produce — a torn (half-written)
+//! tail record, a file that stops mid-header, a zero-byte file created
+//! but never written — is detected on open and quarantined, never
+//! trusted and never panicked on. Bit-rot (a flipped byte in the middle
+//! of the file) is caught by per-record checksums.
 //!
-//! Layout:
+//! This module holds one framed-file core — [`RecordLog`] and the frame
+//! walker [`frames`] — and two formats are built on it: the checkpoint
+//! [`Journal`] below and the keyed profile store in `serve::store`. The
+//! core owns every decision the two share, each in one place:
+//!
+//! * the file header, `MAGIC (8) | format version u32 | identity len u32
+//!   | identity checksum u64 | identity bytes` ([`file_header`]); a file
+//!   is trusted only if it starts with exactly these bytes;
+//! * open-or-create: a missing file gets a fresh header, a bad header is
+//!   quarantined wholesale, and a damaged record suffix is cut off by
+//!   rewriting the valid prefix;
+//! * the durable append and the torn append the crash tests simulate;
+//! * the frame walk: each record is a format-specific frame header that
+//!   carries the payload length and checksum, then the payload, and every
+//!   frame is classified as good, torn, header-damaged or
+//!   payload-damaged ([`Frame`]).
+//!
+//! A journal frame is
 //!
 //! ```text
-//! header:  MAGIC (8) | format version u32 | identity len u32
-//!          | identity checksum u64 | identity bytes
 //! record:  index u32 | payload len u32 | payload checksum u64 | payload
 //! ```
 //!
@@ -24,22 +37,24 @@
 //! consecutive indices starting at 0 — the journal is a *contiguous
 //! prefix* of some externally defined task list, which is what makes
 //! resume accounting schedule-independent (see `core::generation`). A
-//! record with an out-of-sequence index is treated as corruption.
+//! record with an out-of-sequence index is treated as corruption. Replay
+//! keeps the valid prefix and discards everything from the first damaged
+//! record onward, because framing downstream of damage cannot be trusted.
 //!
 //! Atomicity comes from two mechanisms:
 //!
 //! * **Append + sync** — each record is written with a single `write_all`
 //!   followed by `sync_data`, so a crash leaves at most one torn tail
 //!   record, which replay detects by framing.
-//! * **Temp-file + rename** — creating a journal and repairing one
+//! * **Temp-file + rename** — creating a log and repairing one
 //!   (rewriting the valid prefix after quarantining a damaged tail) go
 //!   through [`atomic_write`]: the new contents are written to a
 //!   temporary file in the same directory, synced, then `rename`d over
-//!   the target. POSIX rename is atomic, so the journal is always either
+//!   the target. POSIX rename is atomic, so the file is always either
 //!   the old bytes or the new bytes, never a mixture.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Environment variable carrying the checkpoint directory for resumable
@@ -55,15 +70,12 @@ pub const FORMAT_VERSION: u32 = 1;
 /// File magic: identifies a smokescreen journal.
 const MAGIC: [u8; 8] = *b"SMKJRNL\0";
 
-/// Fixed-size portion of the header preceding the identity bytes.
-const HEADER_FIXED_LEN: usize = 8 + 4 + 4 + 8;
-
-/// Per-record frame: index + payload length + payload checksum.
+/// Journal frame header: index + payload length + payload checksum.
 const RECORD_HEADER_LEN: usize = 4 + 4 + 8;
 
-/// Upper bound on a single record payload (1 GiB); a larger length field
-/// can only come from corruption.
-const MAX_PAYLOAD_LEN: u32 = 1 << 30;
+/// Upper bound on a single record payload (1 GiB) in any record log; a
+/// larger length field can only come from corruption.
+pub const MAX_PAYLOAD_LEN: u32 = 1 << 30;
 
 /// FNV-1a 64-bit checksum. Not cryptographic — it defends against
 /// torn writes and bit-rot, not adversaries, and a 64-bit avalanche makes
@@ -133,6 +145,201 @@ pub fn parse_checkpoint_dir(
     }
 }
 
+/// The header every record log starts with: `magic` | format `version`
+/// u32 | identity len u32 | identity checksum u64 | identity bytes.
+pub fn file_header(magic: &[u8; 8], version: u32, identity: &str) -> Vec<u8> {
+    let id = identity.as_bytes();
+    let mut buf = Vec::with_capacity(8 + 4 + 4 + 8 + id.len());
+    buf.extend_from_slice(magic);
+    buf.extend_from_slice(&version.to_le_bytes());
+    buf.extend_from_slice(&(id.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&checksum64(id).to_le_bytes());
+    buf.extend_from_slice(id);
+    buf
+}
+
+/// Little-endian `u32` at byte `at`; the caller has checked the bounds.
+pub fn read_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("bounds checked"))
+}
+
+/// Little-endian `u64` at byte `at`; the caller has checked the bounds.
+pub fn read_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("bounds checked"))
+}
+
+/// How [`RecordLog::open`] found the file.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Opened {
+    /// The file did not exist and was created with a fresh header.
+    pub created: bool,
+    /// The header was foreign, mis-versioned, damaged or truncated (a
+    /// zero-byte file included): the whole file was quarantined and
+    /// replaced by a fresh header.
+    pub bad_header: bool,
+    /// Bytes discarded: the whole file for a bad header, otherwise the
+    /// suffix past the valid prefix the scan reported.
+    pub quarantined_bytes: u64,
+}
+
+/// An open record log: the append handle and its durable length.
+#[derive(Debug)]
+pub struct RecordLog {
+    path: PathBuf,
+    file: File,
+    len: u64,
+}
+
+impl RecordLog {
+    /// Opens (creating if absent) the log at `path`, which must start
+    /// with exactly `header`. `scan` sees the whole file once its header
+    /// matched and returns the length of its valid prefix, header
+    /// included. Any quarantine repairs the file through [`atomic_write`]
+    /// before the handle is returned — a bad header is replaced by a
+    /// fresh one, a damaged suffix is cut off — so appends always
+    /// continue well-formed framing.
+    pub fn open(
+        path: &Path,
+        header: &[u8],
+        scan: impl FnOnce(&[u8]) -> usize,
+    ) -> io::Result<(RecordLog, Opened)> {
+        let mut opened = Opened::default();
+        let existing = match std::fs::read(path) {
+            Ok(bytes) => Some(bytes),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e),
+        };
+        let len = match existing {
+            Some(bytes) if bytes.starts_with(header) => {
+                let valid = scan(&bytes);
+                if valid < bytes.len() {
+                    opened.quarantined_bytes = (bytes.len() - valid) as u64;
+                    atomic_write(path, &bytes[..valid])?;
+                }
+                valid
+            }
+            Some(bytes) => {
+                opened.bad_header = true;
+                opened.quarantined_bytes = bytes.len() as u64;
+                atomic_write(path, header)?;
+                header.len()
+            }
+            None => {
+                opened.created = true;
+                atomic_write(path, header)?;
+                header.len()
+            }
+        };
+        let file = OpenOptions::new().append(true).open(path)?;
+        let log = RecordLog {
+            path: path.to_path_buf(),
+            file,
+            len: len as u64,
+        };
+        Ok((log, opened))
+    }
+
+    /// Durable length in bytes: the header plus every appended frame.
+    pub fn bytes(&self) -> u64 {
+        self.len
+    }
+
+    /// Appends one frame durably: a single `write_all`, then
+    /// `sync_data`. When this returns `Ok`, a crash at any later byte
+    /// cannot lose the frame.
+    pub fn append(&mut self, frame: &[u8]) -> io::Result<()> {
+        self.file.write_all(frame)?;
+        self.file.sync_data()?;
+        self.len += frame.len() as u64;
+        Ok(())
+    }
+
+    /// Deliberately writes a *torn* frame — its `head_len`-byte frame
+    /// header plus a `keep_frac` share of the payload, never the whole
+    /// frame — simulating a crash mid-append for the seeded crash tests.
+    /// Nothing may be appended afterwards; the next open quarantines the
+    /// tail.
+    pub fn append_torn(&mut self, frame: &[u8], head_len: usize, keep_frac: f64) -> io::Result<()> {
+        let keep_payload = ((frame.len() - head_len) as f64 * keep_frac.clamp(0.0, 1.0)) as usize;
+        let keep = (head_len + keep_payload).min(frame.len().saturating_sub(1));
+        self.file.write_all(&frame[..keep])?;
+        self.file.sync_data()?;
+        self.len += keep as u64;
+        Ok(())
+    }
+
+    /// Atomically replaces the whole file with `bytes` (temp-file +
+    /// rename) and reopens the append handle on the new file.
+    pub fn replace(&mut self, bytes: &[u8]) -> io::Result<()> {
+        atomic_write(&self.path, bytes)?;
+        self.file = OpenOptions::new().append(true).open(&self.path)?;
+        self.len = bytes.len() as u64;
+        Ok(())
+    }
+
+    /// The raw append handle, for fault seams that write bytes no ack
+    /// covers. Such bytes are not counted in [`bytes`](Self::bytes).
+    pub fn file(&mut self) -> &mut File {
+        &mut self.file
+    }
+}
+
+/// One frame as [`frames`] classified it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Frame<'a, H> {
+    /// Header accepted and payload checksum verified.
+    Good(H, &'a [u8]),
+    /// Cut short by the end of the file: inside the frame header
+    /// (`None`), or inside the payload after an intact header.
+    Torn(Option<H>),
+    /// The format rejected the frame header, or its length is
+    /// implausible; the next frame cannot be located.
+    HeaderDamaged,
+    /// Header accepted, payload checksum mismatch.
+    PayloadDamaged(H, &'a [u8]),
+}
+
+/// Walks the frames of `bytes` from offset `from`, yielding each frame's
+/// start offset and classification; a walk that reaches the end of
+/// `bytes` exactly ended cleanly. Every frame is a `head_len`-byte frame
+/// header, then its payload. `parse` decodes a frame header into the
+/// format's own fields plus the payload length and checksum, or `None`
+/// when the format rejects it. A payload-damaged frame still has a
+/// trusted length, so the walk continues past it; a torn or
+/// header-damaged frame ends it.
+pub fn frames<'a, H: 'a>(
+    bytes: &'a [u8],
+    from: usize,
+    head_len: usize,
+    mut parse: impl FnMut(&[u8]) -> Option<(H, u32, u64)> + 'a,
+) -> impl Iterator<Item = (usize, Frame<'a, H>)> + 'a {
+    let mut next = Some(from);
+    std::iter::from_fn(move || {
+        let at = next.take().filter(|&at| at < bytes.len())?;
+        let rest = &bytes[at..];
+        let Some(head) = rest.get(..head_len) else {
+            return Some((at, Frame::Torn(None)));
+        };
+        let frame = match parse(head) {
+            Some((fields, len, sum)) if len <= MAX_PAYLOAD_LEN => {
+                match rest[head_len..].get(..len as usize) {
+                    None => Frame::Torn(Some(fields)),
+                    Some(payload) => {
+                        next = Some(at + head_len + payload.len());
+                        if checksum64(payload) == sum {
+                            Frame::Good(fields, payload)
+                        } else {
+                            Frame::PayloadDamaged(fields, payload)
+                        }
+                    }
+                }
+            }
+            _ => Frame::HeaderDamaged,
+        };
+        Some((at, frame))
+    })
+}
+
 /// What replay recovered from an existing journal.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct Replay {
@@ -159,15 +366,14 @@ pub struct Replay {
 /// record so a crash loses at most the record being written.
 #[derive(Debug)]
 pub struct JournalWriter {
-    file: File,
-    bytes: u64,
+    log: RecordLog,
     records: u32,
 }
 
 impl JournalWriter {
     /// Total journal size in bytes (header + all durable records).
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.log.bytes()
     }
 
     /// Number of valid records in the journal (replayed + appended).
@@ -179,29 +385,19 @@ impl JournalWriter {
     /// then `sync_data`. `index` must continue the consecutive sequence.
     pub fn append(&mut self, index: u32, payload: &[u8]) -> io::Result<()> {
         debug_assert_eq!(index, self.records, "journal indices must be consecutive");
-        let buf = frame_record(index, payload);
-        self.file.write_all(&buf)?;
-        self.file.sync_data()?;
-        self.bytes += buf.len() as u64;
+        self.log.append(&frame_record(index, payload))?;
         self.records += 1;
         Ok(())
     }
 
-    /// Deliberately writes a *torn* record — the frame header plus a
-    /// prefix of the payload — simulating a crash mid-append for the
-    /// seeded crash tests. The journal must not be appended to afterwards
-    /// (replay will quarantine the tail). `keep_frac` in `[0, 1]` selects
-    /// how much of the payload survives; the full record is never written.
+    /// Deliberately writes a *torn* record (see [`RecordLog::append_torn`])
+    /// for the seeded crash tests. `keep_frac` in `[0, 1]` selects how
+    /// much of the payload survives; the full record is never written,
+    /// and it is not counted in [`records`](Self::records).
     pub fn append_torn(&mut self, index: u32, payload: &[u8], keep_frac: f64) -> io::Result<()> {
         debug_assert_eq!(index, self.records, "journal indices must be consecutive");
-        let buf = frame_record(index, payload);
-        let keep_payload = (payload.len() as f64 * keep_frac.clamp(0.0, 1.0)) as usize;
-        let keep = (RECORD_HEADER_LEN + keep_payload).min(buf.len().saturating_sub(1));
-        self.file.write_all(&buf[..keep])?;
-        self.file.sync_data()?;
-        self.bytes += keep as u64;
-        // Not counted in `records`: the record is not durable.
-        Ok(())
+        self.log
+            .append_torn(&frame_record(index, payload), RECORD_HEADER_LEN, keep_frac)
     }
 }
 
@@ -212,25 +408,6 @@ fn frame_record(index: u32, payload: &[u8]) -> Vec<u8> {
     buf.extend_from_slice(&checksum64(payload).to_le_bytes());
     buf.extend_from_slice(payload);
     buf
-}
-
-fn header_bytes(identity: &str) -> Vec<u8> {
-    let id = identity.as_bytes();
-    let mut buf = Vec::with_capacity(HEADER_FIXED_LEN + id.len());
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&(id.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&checksum64(id).to_le_bytes());
-    buf.extend_from_slice(id);
-    buf
-}
-
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("bounds checked"))
-}
-
-fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("bounds checked"))
 }
 
 /// Namespace for opening journals.
@@ -246,135 +423,44 @@ impl Journal {
     /// whose header is unreadable, carries the wrong format version, or
     /// names a different identity is quarantined wholesale.
     ///
-    /// Any quarantine **repairs the file**: the valid prefix is rewritten
-    /// atomically (temp-file + rename) before the writer is handed back,
-    /// so appends always continue a well-formed journal.
+    /// Any quarantine **repairs the file** (see [`RecordLog::open`]), so
+    /// appends always continue a well-formed journal.
     pub fn open(
         path: &Path,
         identity: &str,
         validate: impl Fn(u32, &[u8]) -> bool,
     ) -> io::Result<(JournalWriter, Replay)> {
-        let header = header_bytes(identity);
+        let header = file_header(&MAGIC, FORMAT_VERSION, identity);
         let mut replay = Replay::default();
-
-        let existing: Option<Vec<u8>> = match File::open(path) {
-            Ok(mut f) => {
-                let mut buf = Vec::new();
-                f.read_to_end(&mut buf)?;
-                Some(buf)
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-
-        let valid_len = match &existing {
-            None => {
-                replay.created = true;
-                atomic_write(path, &header)?;
-                header.len()
-            }
-            Some(bytes) => {
-                let valid = Self::replay(bytes, &header, identity, &validate, &mut replay);
-                // Repair when there is a damaged tail to quarantine OR the
-                // header itself was unusable (including the zero-byte file,
-                // where both lengths are 0 but a fresh header must still be
-                // written before appends can proceed).
-                if valid < bytes.len() || valid < header.len() {
-                    // Quarantine the damaged tail: rewrite the valid
-                    // prefix atomically so appends continue clean framing.
-                    replay.quarantined_bytes = (bytes.len() - valid) as u64;
-                    let mut repaired = Vec::with_capacity(header.len());
-                    if valid == 0 {
-                        repaired.extend_from_slice(&header);
-                    } else {
-                        repaired.extend_from_slice(&bytes[..valid]);
+        let parse = |h: &[u8]| Some((read_u32(h, 0), read_u32(h, 4), read_u64(h, 8)));
+        let (log, opened) = RecordLog::open(path, &header, |bytes| {
+            for (at, frame) in frames(bytes, header.len(), RECORD_HEADER_LEN, parse) {
+                // Indices are consecutive by construction, so the record a
+                // torn frame header belonged to is still known.
+                let expected = replay.payloads.len() as u32;
+                match frame {
+                    Frame::Good(index, payload)
+                        if index == expected && validate(index, payload) =>
+                    {
+                        replay.payloads.push(payload.to_vec());
+                        continue;
                     }
-                    atomic_write(path, &repaired)?;
-                    repaired.len()
-                } else {
-                    valid
+                    Frame::Torn(None) => replay.torn_record = Some(expected),
+                    Frame::Torn(Some(index)) if index == expected => {
+                        replay.torn_record = Some(index)
+                    }
+                    _ => {}
                 }
-            }
-        };
-
-        let file = OpenOptions::new().append(true).open(path)?;
-        let writer = JournalWriter {
-            file,
-            bytes: valid_len as u64,
-            records: replay.payloads.len() as u32,
-        };
-        Ok((writer, replay))
-    }
-
-    /// Scans `bytes`, filling `replay.payloads` with the valid record
-    /// prefix and returning the byte length of the valid region (header
-    /// included). Returns 0 when the header itself is unusable.
-    fn replay(
-        bytes: &[u8],
-        expected_header: &[u8],
-        identity: &str,
-        validate: &impl Fn(u32, &[u8]) -> bool,
-        replay: &mut Replay,
-    ) -> usize {
-        // Header: magic, version, and identity must all match; anything
-        // else is a foreign or damaged journal and nothing in it can be
-        // attributed to our cells.
-        if bytes.len() < HEADER_FIXED_LEN
-            || bytes[..8] != MAGIC
-            || read_u32(bytes, 8) != FORMAT_VERSION
-        {
-            replay.corrupt_records += 1;
-            return 0;
-        }
-        let id_len = read_u32(bytes, 12) as usize;
-        let id_sum = read_u64(bytes, 16);
-        if id_len != identity.len()
-            || bytes.len() < HEADER_FIXED_LEN + id_len
-            || id_sum != checksum64(identity.as_bytes())
-            || &bytes[HEADER_FIXED_LEN..HEADER_FIXED_LEN + id_len] != identity.as_bytes()
-        {
-            replay.corrupt_records += 1;
-            return 0;
-        }
-        debug_assert_eq!(&bytes[..expected_header.len()], expected_header);
-
-        let mut pos = expected_header.len();
-        loop {
-            let remaining = bytes.len() - pos;
-            if remaining == 0 {
-                return pos; // clean end
-            }
-            if remaining < RECORD_HEADER_LEN {
-                // Torn mid-frame: the next record's index is the sequence
-                // position even though its header is unreadable, because
-                // indices are consecutive by construction.
                 replay.corrupt_records += 1;
-                replay.torn_record = Some(replay.payloads.len() as u32);
-                return pos;
+                return at;
             }
-            let index = read_u32(bytes, pos);
-            let len = read_u32(bytes, pos + 4);
-            let sum = read_u64(bytes, pos + 8);
-            if index != replay.payloads.len() as u32 || len > MAX_PAYLOAD_LEN {
-                replay.corrupt_records += 1;
-                return pos;
-            }
-            if (remaining - RECORD_HEADER_LEN) < len as usize {
-                // Frame header intact but payload truncated: a torn
-                // append for exactly this record.
-                replay.corrupt_records += 1;
-                replay.torn_record = Some(index);
-                return pos;
-            }
-            let payload = &bytes[pos + RECORD_HEADER_LEN..pos + RECORD_HEADER_LEN + len as usize];
-            if checksum64(payload) != sum || !validate(index, payload) {
-                // Bit-rot or semantic damage: quarantine from here on.
-                replay.corrupt_records += 1;
-                return pos;
-            }
-            replay.payloads.push(payload.to_vec());
-            pos += RECORD_HEADER_LEN + len as usize;
-        }
+            bytes.len()
+        })?;
+        replay.created = opened.created;
+        replay.corrupt_records += opened.bad_header as usize;
+        replay.quarantined_bytes = opened.quarantined_bytes;
+        let records = replay.payloads.len() as u32;
+        Ok((JournalWriter { log, records }, replay))
     }
 }
 
@@ -472,7 +558,7 @@ mod tests {
         }
         // Flip one bit inside record 1's payload.
         let mut bytes = std::fs::read(&path).unwrap();
-        let header_len = HEADER_FIXED_LEN + 2;
+        let header_len = file_header(&MAGIC, FORMAT_VERSION, "id").len();
         let rec_len = RECORD_HEADER_LEN + "payload-0".len();
         let target = header_len + rec_len + RECORD_HEADER_LEN + 3;
         bytes[target] ^= 0x10;
@@ -560,6 +646,34 @@ mod tests {
             Journal::open(&path, "id", |_, p| p.starts_with(b"good")).unwrap();
         assert_eq!(replay.payloads.len(), 1, "validation failure stops the replay");
         assert_eq!(replay.corrupt_records, 1);
+    }
+
+    #[test]
+    fn frame_walk_steps_past_payload_damage_and_stops_at_lost_framing() {
+        let parse = |h: &[u8]| Some((read_u32(h, 0), read_u32(h, 4), read_u64(h, 8)));
+        let mut bytes = frame_record(0, b"good");
+        let rot_at = bytes.len();
+        bytes.extend_from_slice(&frame_record(1, b"rot"));
+        bytes[rot_at + RECORD_HEADER_LEN] ^= 0x01; // "rot" -> "sot"
+        let torn_at = bytes.len();
+        bytes.extend_from_slice(&frame_record(2, b"torn-away")[..RECORD_HEADER_LEN + 2]);
+        let walked: Vec<_> = frames(&bytes, 0, RECORD_HEADER_LEN, parse).collect();
+        assert_eq!(
+            walked,
+            vec![
+                (0, Frame::Good(0, &b"good"[..])),
+                (rot_at, Frame::PayloadDamaged(1, &b"sot"[..])),
+                (torn_at, Frame::Torn(Some(2))),
+            ]
+        );
+        // A rejected frame header ends the walk: its length is untrusted.
+        let reject_one = |h: &[u8]| parse(h).filter(|(index, _, _)| *index != 1);
+        let walked: Vec<_> = frames(&bytes, 0, RECORD_HEADER_LEN, reject_one).collect();
+        assert_eq!(walked[1], (rot_at, Frame::HeaderDamaged));
+        assert_eq!(walked.len(), 2);
+        // So does a frame header cut short.
+        let walked: Vec<_> = frames(&bytes[..rot_at + 3], 0, RECORD_HEADER_LEN, parse).collect();
+        assert_eq!(walked[1], (rot_at, Frame::Torn(None)));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! | [`pool`]      | `rayon` (subset)        | persistent, deterministic `parallel_map`/`scope` worker pool |
 //! | [`proptest`]  | `proptest`              | seeded case generation, replay via printed seed, no shrinking |
 //! | [`bench`]     | `criterion`             | warm-up + min/mean timer + counting allocator under the libtest harness |
-//! | [`fault`]     | — (new subsystem)       | seeded, replayable fault + crash schedules for chaos testing |
-//! | [`journal`]   | — (new subsystem)       | crash-consistent append-only journal (checksummed framing, atomic repair) |
+//! | [`fault`]     | — (new subsystem)       | seeded, replayable fault + crash schedules for chaos testing; the seed/rate parsers and stream mixer every seeded plan shares |
+//! | [`journal`]   | — (new subsystem)       | one crash-consistent record-log core (file header, durable append, frame walk, atomic repair) with two formats on it: the checkpoint journal here and `serve::store`'s data segment |
 //!
 //! Determinism is a hard requirement here, not a convenience: the paper's
 //! bound-validity experiments (PAPER.md §4–5) are only checkable if every

@@ -5,10 +5,11 @@
 //! long-running system serving tradeoff-profile queries for a whole
 //! camera fleet:
 //!
-//! * [`store`] — an **indexed columnar on-disk profile store** grown out
-//!   of `rt::journal`: the same framing/checksum/atomic-repair contract
-//!   (append + `sync_data`, temp-file + rename, quarantine-never-panic),
-//!   extended with a fixed-width index segment for O(1) reopen, a
+//! * [`store`] — an **indexed columnar on-disk profile store**. Its data
+//!   segment is the keyed frame format on `rt::journal`'s record-log core
+//!   (the checkpoint journal is the other format on it), so the header,
+//!   the durable append, quarantine and atomic repair are shared code.
+//!   The store adds a fixed-width index segment for O(1) reopen, a
 //!   read-side record cache, and key-ordered compaction. Records are
 //!   keyed by `camera_id × grid` — one entry per profiled `(f, p, c)`
 //!   grid per camera.

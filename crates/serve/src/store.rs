@@ -1,14 +1,18 @@
 //! Indexed columnar on-disk profile store.
 //!
-//! Grown out of `rt::journal`: the same framing/checksum/atomic-repair
-//! contract (append + `sync_data` before ack, temp-file + rename for every
-//! rewrite, quarantine-never-panic on corruption), extended in three ways:
+//! The data segment (`profiles.data`) is one of the two formats built on
+//! the record-log core in `rt::journal`; the checkpoint journal is the
+//! other. The core owns the file header, open-or-create with wholesale
+//! quarantine of a bad header and atomic truncation of a damaged suffix,
+//! the durable append (`sync_data` before ack), and the frame walk. This
+//! module owns what is specific to profiles:
 //!
-//! * **Keys, not sequences.** Records are keyed by
-//!   [`StoreKey`] `{ camera, grid }` — one record per profiled `(f, p, c)`
-//!   grid per camera — with a per-key sequence number instead of the
-//!   journal's single global index. Later sequence wins on replay; a
-//!   sequence rewind is corruption.
+//! * **Keyed frames.** Records are keyed by [`StoreKey`]
+//!   `{ camera, grid }` — one record per profiled `(f, p, c)` grid per
+//!   camera — with a per-key sequence number. Later sequence wins on
+//!   replay; a sequence rewind is corruption. The frame header carries
+//!   its own checksum, so a damaged payload never hides where the next
+//!   frame starts.
 //! * **A fixed-width index segment** (`profiles.idx`), written atomically
 //!   at compaction / clean shutdown. A valid index makes reopen O(live
 //!   records) instead of O(data bytes): the map is rebuilt from 44-byte
@@ -23,11 +27,11 @@
 //!
 //! Durability contract: a [`ProfileStore::put`] that returns `Ok` has been
 //! written and `sync_data`'d — a crash at any later byte cannot lose it
-//! (it can only be quarantined by a *subsequent* corruption event, same as
-//! `rt::journal`). [`ProfileStore::compact`] rewrites live records sorted
-//! by key, so the post-compaction bytes are a pure function of the
-//! surviving `(key → profile, seq)` map — the schedule-independence the
-//! soak test pins.
+//! (it can only be quarantined by a *subsequent* corruption event).
+//! [`ProfileStore::compact`] rewrites live records sorted by key, so the
+//! post-compaction bytes are a pure function of the surviving
+//! `(key → profile, seq)` map — the schedule-independence the soak test
+//! pins.
 //!
 //! The chaos additions keep that contract under injected storage faults
 //! ([`DiskFaultPlan`], threaded through
@@ -41,7 +45,7 @@
 //! a reader trips on it.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
@@ -50,7 +54,9 @@ use std::sync::Arc;
 use smokescreen_core::{Aggregate, Profile, ProfilePoint};
 use smokescreen_degrade::InterventionSet;
 use smokescreen_rt::fault::{DiskFaultKind, DiskFaultPlan};
-use smokescreen_rt::journal::{atomic_write, checksum64};
+use smokescreen_rt::journal::{
+    atomic_write, checksum64, file_header, frames, read_u32, read_u64, Frame, RecordLog,
+};
 use smokescreen_video::codec::Quality;
 use smokescreen_video::{ObjectClass, Resolution};
 
@@ -67,10 +73,6 @@ pub const STORE_FORMAT_VERSION: u32 = 1;
 const DATA_MAGIC: [u8; 8] = *b"SMKSTOR\0";
 /// Index-segment magic.
 const IDX_MAGIC: [u8; 8] = *b"SMKSIDX\0";
-
-/// Fixed portion of the data header preceding the identity bytes:
-/// magic | version u32 | identity len u32 | identity checksum u64.
-const DATA_HEADER_FIXED_LEN: usize = 8 + 4 + 4 + 8;
 
 /// Record frame: camera u64 | grid u64 | seq u64 | payload len u32
 /// | payload checksum u64 | header checksum u64 (over the preceding 36
@@ -89,9 +91,6 @@ const IDX_HEADER_LEN: usize = 8 + 4 + 8 + 4 + 8 + 8;
 /// Index entry: camera u64 | grid u64 | seq u64 | payload offset u64
 /// | payload len u32 | payload checksum u64.
 const IDX_ENTRY_LEN: usize = 8 + 8 + 8 + 8 + 4 + 8;
-
-/// Upper bound on a single payload (1 GiB); larger can only be corruption.
-const MAX_PAYLOAD_LEN: u32 = 1 << 30;
 
 /// Upper bound on profile points per record accepted by the decoder; a
 /// larger count in a stored payload can only come from corruption.
@@ -283,11 +282,10 @@ struct CacheSlot {
 pub struct ProfileStore {
     dir: PathBuf,
     identity: String,
-    /// Append handle; reopened after every atomic rewrite.
-    data: File,
+    /// The data segment's append handle and durable length.
+    log: RecordLog,
     /// Lazily opened read handle, invalidated by compaction.
     read: Option<File>,
-    data_len: u64,
     map: BTreeMap<StoreKey, IndexEntry>,
     cache: BTreeMap<StoreKey, CacheSlot>,
     cache_cap: usize,
@@ -307,8 +305,8 @@ pub struct ProfileStore {
     /// [`DiskFaultKind::ReadBitFlip`] heals against. Kept across
     /// compaction so a healed record stays healed.
     read_attempts: BTreeMap<(StoreKey, u64), u32>,
-    /// Whether a faulted append left bytes past `data_len` on disk; the
-    /// next append (or scrub step) truncates them back first.
+    /// Whether a faulted append left bytes past the durable length on
+    /// disk; the next append (or scrub step) truncates them back first.
     tail_dirty: bool,
     /// Incremental scrub position: the last live key verified, `None`
     /// at the start of a pass.
@@ -316,91 +314,59 @@ pub struct ProfileStore {
 }
 
 impl ProfileStore {
-    /// Opens (creating if absent) the store in `dir` for `identity`,
-    /// replaying and repairing exactly like `rt::journal::open`: any
+    /// Opens (creating if absent) the store in `dir` for `identity`. Any
     /// quarantine rewrites the valid prefix atomically before the handle
-    /// is returned, so appends always continue well-formed framing.
+    /// is returned (see `rt::journal::RecordLog::open`), so appends
+    /// always continue well-formed framing.
     pub fn open(dir: &Path, identity: &str) -> io::Result<(ProfileStore, StoreReplay)> {
-        Self::open_with_cache(dir, identity, DEFAULT_CACHE_CAP)
-    }
-
-    /// [`ProfileStore::open`] with an explicit read-cache capacity.
-    pub fn open_with_cache(
-        dir: &Path,
-        identity: &str,
-        cache_cap: usize,
-    ) -> io::Result<(ProfileStore, StoreReplay)> {
-        Self::open_with_options(dir, identity, cache_cap, None)
+        Self::open_with_options(dir, identity, DEFAULT_CACHE_CAP, None)
     }
 
     /// [`ProfileStore::open`] with an explicit read-cache capacity and an
     /// optional armed [`DiskFaultPlan`] injected behind the store's I/O
     /// seams. Recovery itself always runs clean — the plan models the
     /// live append/read path, not the platter, so a cold audit of the
-    /// same directory sees the true bytes.
+    /// same directory sees the true bytes. An empty `dir` is
+    /// `InvalidInput`: it would name the working directory.
     pub fn open_with_options(
         dir: &Path,
         identity: &str,
         cache_cap: usize,
         faults: Option<DiskFaultPlan>,
     ) -> io::Result<(ProfileStore, StoreReplay)> {
+        if dir.as_os_str().is_empty() {
+            let msg = "profile store directory is an empty path";
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        }
         std::fs::create_dir_all(dir)?;
-        let data_path = dir.join(DATA_FILE);
         let idx_path = dir.join(INDEX_FILE);
-        let header = data_header_bytes(identity);
+        let header = data_header(identity);
         let mut replay = StoreReplay::default();
         let mut map = BTreeMap::new();
-
-        let existing: Option<Vec<u8>> = match std::fs::read(&data_path) {
-            Ok(bytes) => Some(bytes),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-
-        let data_len = match existing {
-            None => {
-                replay.created = true;
-                atomic_write(&data_path, &header)?;
-                let _ = std::fs::remove_file(&idx_path);
-                header.len() as u64
-            }
-            Some(bytes) if !bytes.starts_with(&header) => {
-                // Foreign identity, wrong version, damaged or truncated
-                // header: nothing in the file can be attributed to our
-                // keys — quarantine wholesale and start clean.
-                replay.quarantined_records += 1;
-                replay.quarantined_bytes = bytes.len() as u64;
-                atomic_write(&data_path, &header)?;
-                let _ = std::fs::remove_file(&idx_path);
-                header.len() as u64
-            }
-            Some(bytes) => {
-                let scan_from =
-                    match load_index(&idx_path, identity, &bytes, header.len(), &mut map) {
-                        Some(high_water) => {
-                            replay.index_used = true;
-                            high_water as usize
-                        }
-                        None => header.len(),
-                    };
-                let valid = scan_records(&bytes, scan_from, &mut map, &mut replay);
-                if valid < bytes.len() {
-                    replay.quarantined_bytes += (bytes.len() - valid) as u64;
-                    atomic_write(&data_path, &bytes[..valid])?;
+        let (log, opened) = RecordLog::open(&dir.join(DATA_FILE), &header, |bytes| {
+            let from = match load_index(&idx_path, identity, bytes, header.len(), &mut map) {
+                Some(high_water) => {
+                    replay.index_used = true;
+                    high_water as usize
                 }
-                valid as u64
-            }
-        };
-
+                None => header.len(),
+            };
+            scan_records(bytes, from, &mut map, &mut replay)
+        })?;
+        if opened.created || opened.bad_header {
+            // A fresh or foreign data segment backs no index entry.
+            let _ = std::fs::remove_file(&idx_path);
+        }
+        replay.created = opened.created;
+        replay.quarantined_records += opened.bad_header as usize;
+        replay.quarantined_bytes += opened.quarantined_bytes;
         replay.records = map.len();
-        let data = OpenOptions::new().append(true).open(&data_path)?;
         Ok((
             ProfileStore {
                 dir: dir.to_path_buf(),
                 identity: identity.to_string(),
-                data,
+                log,
                 read: None,
-                data_len,
                 map,
                 cache: BTreeMap::new(),
                 cache_cap,
@@ -459,7 +425,7 @@ impl ProfileStore {
 
     /// Data segment size in bytes (header + all appended frames).
     pub fn data_bytes(&self) -> u64 {
-        self.data_len
+        self.log.bytes()
     }
 
     /// Operation counters.
@@ -490,10 +456,8 @@ impl ProfileStore {
                 return Err(self.inject_write_fault(kind, &frame));
             }
         }
-        self.data.write_all(&frame)?;
-        self.data.sync_data()?;
-        let offset = self.data_len + REC_HEADER_LEN as u64;
-        self.data_len += frame.len() as u64;
+        let offset = self.log.bytes() + REC_HEADER_LEN as u64;
+        self.log.append(&frame)?;
         self.write_attempts.remove(&(key, seq));
         if self.quarantined.remove(&key).is_some() {
             // The new version replaces the damaged record outright — a
@@ -509,16 +473,7 @@ impl ProfileStore {
                 checksum: checksum64(&payload),
             },
         );
-        self.tick += 1;
-        self.cache.insert(
-            key,
-            CacheSlot {
-                last_use: self.tick,
-                seq,
-                profile: Arc::new(profile.clone()),
-            },
-        );
-        self.evict();
+        self.cache_insert(key, seq, Arc::new(profile.clone()));
         self.stats.puts += 1;
         Ok(seq)
     }
@@ -534,8 +489,8 @@ impl ProfileStore {
             DiskFaultKind::ShortWrite { keep_frac } => {
                 let keep = ((frame.len() as f64 * keep_frac) as usize)
                     .min(frame.len().saturating_sub(1));
-                if self.data.write_all(&frame[..keep]).is_ok() {
-                    let _ = self.data.sync_data();
+                if self.log.file().write_all(&frame[..keep]).is_ok() {
+                    let _ = self.log.file().sync_data();
                     self.tail_dirty = true;
                 }
                 err("short write (torn tail)")
@@ -544,7 +499,7 @@ impl ProfileStore {
                 // The frame reaches the file but the sync "fails": the
                 // bytes are not durable, so the ack is withheld and the
                 // tail treated as torn.
-                if self.data.write_all(frame).is_ok() {
+                if self.log.file().write_all(frame).is_ok() {
                     self.tail_dirty = true;
                 }
                 err("sync failed after append")
@@ -562,27 +517,22 @@ impl ProfileStore {
         if !self.tail_dirty {
             return Ok(());
         }
-        self.data.set_len(self.data_len)?;
-        self.data.sync_data()?;
+        let durable = self.log.bytes();
+        self.log.file().set_len(durable)?;
+        self.log.file().sync_data()?;
         self.tail_dirty = false;
         self.stats.tail_repairs += 1;
         Ok(())
     }
 
-    /// Deliberately writes a *torn* record — frame header plus a prefix of
-    /// the payload — simulating a crash mid-append for the seeded crash
-    /// tests (mirrors `JournalWriter::append_torn`). The write is never
-    /// acked: the map is not updated, and the store must not be appended
-    /// to afterwards; reopen will quarantine the tail.
+    /// Deliberately writes a *torn* record (see
+    /// `rt::journal::RecordLog::append_torn`) simulating a crash
+    /// mid-append for the seeded crash tests. The write is never acked:
+    /// the map is not updated, and the store must not be appended to
+    /// afterwards; reopen will quarantine the tail.
     pub fn put_torn(&mut self, key: StoreKey, profile: &Profile, keep_frac: f64) -> io::Result<()> {
-        let payload = encode_profile(profile);
-        let seq = self.seq(key) + 1;
-        let frame = frame_record(key, seq, &payload);
-        let keep_payload = (payload.len() as f64 * keep_frac.clamp(0.0, 1.0)) as usize;
-        let keep = (REC_HEADER_LEN + keep_payload).min(frame.len().saturating_sub(1));
-        self.data.write_all(&frame[..keep])?;
-        self.data.sync_data()?;
-        self.data_len += keep as u64;
+        let frame = frame_record(key, self.seq(key) + 1, &encode_profile(profile));
+        self.log.append_torn(&frame, REC_HEADER_LEN, keep_frac)?;
         self.poisoned = true;
         Ok(())
     }
@@ -628,36 +578,24 @@ impl ProfileStore {
             }
         }
         self.stats.cache_misses += 1;
-        let payload = match self.read_payload(key, &entry)? {
-            Some(p) => p,
-            None => {
-                self.quarantine_key(key);
-                return Ok(GetOutcome::Quarantined);
-            }
+        let Some(profile) = self.read_profile(key, &entry)? else {
+            self.quarantine_key(key);
+            return Ok(GetOutcome::Quarantined);
         };
-        match decode_profile(&payload) {
-            Ok(profile) => {
-                let profile = Arc::new(profile);
-                self.tick += 1;
-                self.cache.insert(
-                    key,
-                    CacheSlot {
-                        last_use: self.tick,
-                        seq: entry.seq,
-                        profile: profile.clone(),
-                    },
-                );
-                self.evict();
-                Ok(GetOutcome::Hit {
-                    seq: entry.seq,
-                    profile,
-                })
-            }
-            Err(_) => {
-                self.quarantine_key(key);
-                Ok(GetOutcome::Quarantined)
-            }
-        }
+        let profile = Arc::new(profile);
+        self.cache_insert(key, entry.seq, profile.clone());
+        Ok(GetOutcome::Hit {
+            seq: entry.seq,
+            profile,
+        })
+    }
+
+    /// [`read_payload`](Self::read_payload) then decode: `Ok(None)` when
+    /// either the checksum or the decoder rejects the bytes.
+    fn read_profile(&mut self, key: StoreKey, entry: &IndexEntry) -> io::Result<Option<Profile>> {
+        Ok(self
+            .read_payload(key, entry)?
+            .and_then(|payload| decode_profile(&payload).ok()))
     }
 
     /// Reads `entry`'s payload bytes from disk and verifies the checksum;
@@ -706,25 +644,13 @@ impl ProfileStore {
             Some(slot) => slot.entry.clone(),
             None => return Ok(None),
         };
-        let restored = self
-            .read_payload(key, &entry)?
-            .and_then(|payload| decode_profile(&payload).ok());
-        match restored {
+        match self.read_profile(key, &entry)? {
             Some(profile) => {
                 self.quarantined.remove(&key);
                 self.map.insert(key, entry.clone());
                 self.stats.repaired_records += 1;
                 let profile = Arc::new(profile);
-                self.tick += 1;
-                self.cache.insert(
-                    key,
-                    CacheSlot {
-                        last_use: self.tick,
-                        seq: entry.seq,
-                        profile: profile.clone(),
-                    },
-                );
-                self.evict();
+                self.cache_insert(key, entry.seq, profile.clone());
                 Ok(Some((entry.seq, profile)))
             }
             None => {
@@ -743,48 +669,30 @@ impl ProfileStore {
     /// until the damaged frame is rewritten out, a crash-reopen scan
     /// would stop at it and lose everything appended later.
     fn try_repair_log(&mut self, key: StoreKey) -> io::Result<bool> {
-        let slot = match self.quarantined.get(&key) {
-            Some(s) => s.clone(),
-            None => return Ok(false),
+        let Some(slot) = self.quarantined.get(&key).cloned() else {
+            return Ok(false);
         };
         let bytes = std::fs::read(self.data_path())?;
-        let mut pos = data_header_bytes(&self.identity).len();
+        let from = data_header(&self.identity).len();
         let mut best: Option<IndexEntry> = None;
-        while bytes.len() - pos >= REC_HEADER_LEN {
-            if read_u64(&bytes, pos + REC_HEADER_SUMMED)
-                != checksum64(&bytes[pos..pos + REC_HEADER_SUMMED])
-            {
-                break; // framing lost — nothing past here is walkable
-            }
-            let camera = read_u64(&bytes, pos);
-            let grid = read_u64(&bytes, pos + 8);
-            let seq = read_u64(&bytes, pos + 16);
-            let len = read_u32(&bytes, pos + 24);
-            let sum = read_u64(&bytes, pos + 28);
-            if len > MAX_PAYLOAD_LEN || seq == 0 {
-                break;
-            }
-            let payload_at = pos + REC_HEADER_LEN;
-            let end = match payload_at.checked_add(len as usize) {
-                Some(e) if e <= bytes.len() => e,
-                _ => break,
+        for (at, frame) in frames(&bytes, from, REC_HEADER_LEN, parse_frame_head) {
+            let Frame::Good((k, seq, checksum), payload) = frame else {
+                continue; // skip a damaged payload; the walk ends where framing is lost
             };
-            let payload = &bytes[payload_at..end];
-            if StoreKey::new(camera, grid) == key
+            let offset = (at + REC_HEADER_LEN) as u64;
+            if k == key
                 && seq <= slot.entry.seq
-                && payload_at as u64 != slot.entry.offset
-                && checksum64(payload) == sum
+                && offset != slot.entry.offset
                 && decode_profile(payload).is_ok()
                 && best.as_ref().map_or(true, |b| seq >= b.seq)
             {
                 best = Some(IndexEntry {
                     seq,
-                    offset: payload_at as u64,
-                    len,
-                    checksum: sum,
+                    offset,
+                    len: payload.len() as u32,
+                    checksum,
                 });
             }
-            pos = end;
         }
         match best {
             Some(entry) => {
@@ -915,9 +823,8 @@ impl ProfileStore {
         }
         self.quarantined.clear();
         let data = std::fs::read(self.data_path())?;
-        let header = data_header_bytes(&self.identity);
         let mut out = Vec::with_capacity(data.len());
-        out.extend_from_slice(&header);
+        out.extend_from_slice(&data_header(&self.identity));
         let mut new_map = BTreeMap::new();
         for (key, e) in &self.map {
             let start = e.offset as usize;
@@ -935,20 +842,16 @@ impl ProfileStore {
             new_map.insert(
                 *key,
                 IndexEntry {
-                    seq: e.seq,
                     offset,
-                    len: e.len,
-                    checksum: e.checksum,
+                    ..e.clone()
                 },
             );
         }
-        atomic_write(&self.data_path(), &out)?;
-        let reclaimed = self.data_len.saturating_sub(out.len() as u64);
-        self.data_len = out.len() as u64;
+        let reclaimed = self.log.bytes().saturating_sub(out.len() as u64);
+        self.log.replace(&out)?;
         self.map = new_map;
         self.write_index()?;
-        // The rename replaced the inode: reopen both handles.
-        self.data = OpenOptions::new().append(true).open(self.data_path())?;
+        // The rename replaced the inode: drop the stale read handle.
         self.read = None;
         self.cache.clear();
         // The rewrite dropped any torn tail along with the old inode.
@@ -977,13 +880,24 @@ impl ProfileStore {
         buf.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
         buf.extend_from_slice(&checksum64(self.identity.as_bytes()).to_le_bytes());
         buf.extend_from_slice(&(self.map.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&self.data_len.to_le_bytes());
+        buf.extend_from_slice(&self.log.bytes().to_le_bytes());
         buf.extend_from_slice(&checksum64(&entries).to_le_bytes());
         buf.extend_from_slice(&entries);
         atomic_write(&self.index_path(), &buf)
     }
 
-    fn evict(&mut self) {
+    /// Caches `profile` as `key`'s record `seq`, then evicts the least
+    /// recently used slots beyond the capacity.
+    fn cache_insert(&mut self, key: StoreKey, seq: u64, profile: Arc<Profile>) {
+        self.tick += 1;
+        self.cache.insert(
+            key,
+            CacheSlot {
+                last_use: self.tick,
+                seq,
+                profile,
+            },
+        );
         while self.cache.len() > self.cache_cap {
             let oldest = self
                 .cache
@@ -996,15 +910,8 @@ impl ProfileStore {
     }
 }
 
-fn data_header_bytes(identity: &str) -> Vec<u8> {
-    let id = identity.as_bytes();
-    let mut buf = Vec::with_capacity(DATA_HEADER_FIXED_LEN + id.len());
-    buf.extend_from_slice(&DATA_MAGIC);
-    buf.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&(id.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&checksum64(id).to_le_bytes());
-    buf.extend_from_slice(id);
-    buf
+fn data_header(identity: &str) -> Vec<u8> {
+    file_header(&DATA_MAGIC, STORE_FORMAT_VERSION, identity)
 }
 
 fn frame_record(key: StoreKey, seq: u64, payload: &[u8]) -> Vec<u8> {
@@ -1031,12 +938,14 @@ pub(crate) fn op_key(key: StoreKey, seq: u64, attempt: u32) -> u64 {
     x.wrapping_mul(0x94D0_49BB_1331_11EB) ^ attempt as u64
 }
 
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("bounds checked"))
-}
-
-fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("bounds checked"))
+/// The one parser of a record frame header: `((key, seq, payload
+/// checksum), payload len, payload checksum)`, or `None` when the header
+/// checksum fails or the seq is 0 (per-key seqs start at 1).
+fn parse_frame_head(h: &[u8]) -> Option<((StoreKey, u64, u64), u32, u64)> {
+    let key = StoreKey::new(read_u64(h, 0), read_u64(h, 8));
+    let (seq, len, sum) = (read_u64(h, 16), read_u32(h, 24), read_u64(h, 28));
+    let intact = read_u64(h, REC_HEADER_SUMMED) == checksum64(&h[..REC_HEADER_SUMMED]);
+    (intact && seq != 0).then_some(((key, seq, sum), len, sum))
 }
 
 /// Attempts the index fast path: returns the data high-water mark to scan
@@ -1081,25 +990,16 @@ fn load_index(
         let offset = read_u64(entries, at + 24);
         let len = read_u32(entries, at + 32);
         let sum = read_u64(entries, at + 36);
+        let key = StoreKey { camera, grid };
         if offset < (data_header_len + REC_HEADER_LEN) as u64
             || offset + len as u64 > high_water
-            || seq == 0
-        {
-            return None;
-        }
-        let rec = offset as usize - REC_HEADER_LEN;
-        if read_u64(data, rec) != camera
-            || read_u64(data, rec + 8) != grid
-            || read_u64(data, rec + 16) != seq
-            || read_u32(data, rec + 24) != len
-            || read_u64(data, rec + 28) != sum
-            || read_u64(data, rec + REC_HEADER_SUMMED)
-                != checksum64(&data[rec..rec + REC_HEADER_SUMMED])
+            || parse_frame_head(&data[offset as usize - REC_HEADER_LEN..offset as usize])
+                != Some(((key, seq, sum), len, sum))
         {
             return None;
         }
         let prev = loaded.insert(
-            StoreKey { camera, grid },
+            key,
             IndexEntry {
                 seq,
                 offset,
@@ -1125,66 +1025,32 @@ fn scan_records(
     map: &mut BTreeMap<StoreKey, IndexEntry>,
     replay: &mut StoreReplay,
 ) -> usize {
-    let mut pos = from;
-    loop {
-        let remaining = bytes.len() - pos;
-        if remaining == 0 {
-            return pos; // clean end
-        }
-        if remaining < REC_HEADER_LEN {
-            replay.quarantined_records += 1;
-            replay.torn_tail = true;
-            return pos;
-        }
-        if read_u64(bytes, pos + REC_HEADER_SUMMED)
-            != checksum64(&bytes[pos..pos + REC_HEADER_SUMMED])
-        {
-            // Damaged frame header: no field in it can be trusted, not
-            // even the length that would locate the next record.
-            replay.quarantined_records += 1;
-            return pos;
-        }
-        let camera = read_u64(bytes, pos);
-        let grid = read_u64(bytes, pos + 8);
-        let seq = read_u64(bytes, pos + 16);
-        let len = read_u32(bytes, pos + 24);
-        let sum = read_u64(bytes, pos + 28);
-        if len > MAX_PAYLOAD_LEN || seq == 0 {
-            replay.quarantined_records += 1;
-            return pos;
-        }
-        if remaining - REC_HEADER_LEN < len as usize {
-            // Frame header intact but payload truncated: a torn append.
-            replay.quarantined_records += 1;
-            replay.torn_tail = true;
-            return pos;
-        }
-        let payload = &bytes[pos + REC_HEADER_LEN..pos + REC_HEADER_LEN + len as usize];
-        if checksum64(payload) != sum {
-            replay.quarantined_records += 1;
-            return pos;
-        }
-        let key = StoreKey { camera, grid };
-        if let Some(prev) = map.get(&key) {
-            // Per-key sequences only advance; a rewind means these bytes
-            // are not an append stream we wrote.
-            if seq <= prev.seq {
-                replay.quarantined_records += 1;
-                return pos;
+    for (at, frame) in frames(bytes, from, REC_HEADER_LEN, parse_frame_head) {
+        match frame {
+            // Per-key sequences only advance (from 1); a rewind means these
+            // bytes are not an append stream we wrote.
+            Frame::Good((key, seq, checksum), payload)
+                if seq > map.get(&key).map_or(0, |prev| prev.seq) =>
+            {
+                map.insert(
+                    key,
+                    IndexEntry {
+                        seq,
+                        offset: (at + REC_HEADER_LEN) as u64,
+                        len: payload.len() as u32,
+                        checksum,
+                    },
+                );
+                replay.scanned_records += 1;
+                continue;
             }
+            Frame::Torn(_) => replay.torn_tail = true,
+            _ => {}
         }
-        map.insert(
-            key,
-            IndexEntry {
-                seq,
-                offset: (pos + REC_HEADER_LEN) as u64,
-                len,
-                checksum: sum,
-            },
-        );
-        replay.scanned_records += 1;
-        pos += REC_HEADER_LEN + len as usize;
+        replay.quarantined_records += 1;
+        return at;
     }
+    bytes.len()
 }
 
 // ---------------------------------------------------------------------------
@@ -1702,7 +1568,7 @@ mod tests {
         let rec_starts: Vec<usize>;
         {
             let (mut store, _) = ProfileStore::open(&dir, "fleet").unwrap();
-            let header = data_header_bytes("fleet").len();
+            let header = data_header("fleet").len();
             let mut starts = vec![header as u64];
             for k in &keys {
                 store.put(*k, &sample_profile(k.camera)).unwrap();
@@ -1795,9 +1661,23 @@ mod tests {
     }
 
     #[test]
+    fn empty_store_dir_is_invalid_input() {
+        // `create_dir_all("")` succeeds and `"".join(DATA_FILE)` names a
+        // file in the working directory: refuse before touching disk.
+        let err = ProfileStore::open(Path::new(""), "fleet")
+            .err()
+            .expect("empty dir refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(
+            !Path::new(DATA_FILE).exists(),
+            "nothing written to the working directory"
+        );
+    }
+
+    #[test]
     fn read_cache_hits_and_evicts() {
         let dir = tmp_store("cache");
-        let (mut store, _) = ProfileStore::open_with_cache(&dir, "fleet", 2).unwrap();
+        let (mut store, _) = ProfileStore::open_with_options(&dir, "fleet", 2, None).unwrap();
         let keys: Vec<StoreKey> = (0..3).map(|i| StoreKey::new(i, 0)).collect();
         for k in &keys {
             store.put(*k, &sample_profile(k.camera)).unwrap();

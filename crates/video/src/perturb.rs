@@ -51,6 +51,7 @@
 use std::fmt;
 use std::str::FromStr;
 
+use smokescreen_rt::fault::{mix, parse_rate, parse_seed};
 use smokescreen_rt::rng::StdRng;
 
 use crate::corpus::VideoCorpus;
@@ -440,47 +441,6 @@ pub fn flip_class(class: ObjectClass) -> ObjectClass {
         ObjectClass::Person => ObjectClass::Person,
         ObjectClass::Face => ObjectClass::Face,
     }
-}
-
-/// Strictly parses a seed variable: unset defaults to 0, anything set
-/// must be a decimal `u64`. (Mirrors `rt::fault`'s private helper — the
-/// convention is shared, the code deliberately lives with its consumer.)
-fn parse_seed(var: &str, raw: Option<&str>) -> Result<u64, String> {
-    match raw {
-        None => Ok(0),
-        Some(s) => s
-            .trim()
-            .parse()
-            .map_err(|_| format!("{var} must be a decimal u64 seed, got {s:?}")),
-    }
-}
-
-/// Strictly parses a rate variable: unset means disabled, anything set
-/// must be a finite `f64` in `[0, 1]`.
-fn parse_rate(var: &str, raw: Option<&str>) -> Result<Option<f64>, String> {
-    match raw {
-        None => Ok(None),
-        Some(s) => {
-            let rate: f64 = s
-                .trim()
-                .parse()
-                .map_err(|_| format!("{var} must be a rate in [0, 1], got {s:?}"))?;
-            if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-                return Err(format!("{var} must be a rate in [0, 1], got {s:?}"));
-            }
-            Ok(Some(rate))
-        }
-    }
-}
-
-/// Avalanches `(seed, key)` into one well-mixed 64-bit stream seed
-/// (SplitMix64 finalizer over both words — same construction as
-/// `rt::fault`, salted differently via [`PERTURB_STREAM_SALT`]).
-fn mix(seed: u64, key: u64) -> u64 {
-    let mut x = seed ^ key.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]
