@@ -46,6 +46,48 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
+echo "=== malformed knobs: every SMOKESCREEN_* family fails loudly ==="
+# One strict reader (rt::knob) parses every knob: unset means the
+# default, and a set-but-malformed value must stop the program with the
+# variable named on stderr — never silently run the default, disarm a
+# gate, or make a property suite vacuous. Each family is started once
+# with a malformed value: release binaries where one reads the knob, the
+# test binary for the crash-plan and property-test knobs.
+knobdir="$(mktemp -d)"
+expect_loud() { # expect_loud VAR=value command...
+  local kv="$1" var="${1%%=*}"
+  shift
+  if env "$kv" timeout 300 "$@" >/dev/null 2>"$knobdir/stderr"; then
+    echo "$kv: exited 0 instead of failing loudly" >&2
+    exit 1
+  fi
+  if ! grep -q "$var" "$knobdir/stderr"; then
+    echo "$kv: exited non-zero without naming $var on stderr:" >&2
+    tail -n 20 "$knobdir/stderr" >&2
+    exit 1
+  fi
+  echo "$kv: loud"
+}
+expect_loud SMOKESCREEN_FAULT_RATE=lots ./target/release/repro time --quick --out "$knobdir/o"
+expect_loud SMOKESCREEN_CHECKPOINT_DIR= ./target/release/repro time --quick --out "$knobdir/o"
+expect_loud SMOKESCREEN_PERTURB_KIND=fog ./target/release/repro fig4 --quick --out "$knobdir/o"
+expect_loud SMOKESCREEN_THREADS=abc ./target/release/repro fig4 --quick --out "$knobdir/o"
+expect_loud SMOKESCREEN_CHUNK=0 ./target/release/repro fig4 --quick --out "$knobdir/o"
+expect_loud SMOKESCREEN_DISKFAULT_RATE=lots \
+  ./target/release/serve run --unix "$knobdir/s.sock" --store "$knobdir/store"
+expect_loud SMOKESCREEN_NETFAULT_SEED=0x1f \
+  ./target/release/serve run --unix "$knobdir/s.sock" --store "$knobdir/store"
+expect_loud SMOKESCREEN_BENCH_REPS=lots ./target/release/trajectory run --smoke --out "$knobdir/t"
+expect_loud SMOKESCREEN_BENCH_THRESHOLD=NaN \
+  ./target/release/trajectory run --smoke --out "$knobdir/t"
+expect_loud SMOKESCREEN_CRASH_RATE=lots \
+  cargo test -q --offline --test crash_resume env_configured -- --nocapture
+expect_loud SMOKESCREEN_PT_CASES=0 \
+  cargo test -q --offline -p smokescreen-rt --lib proptest -- --nocapture
+expect_loud SMOKESCREEN_PT_SEED=0x1f \
+  cargo test -q --offline -p smokescreen-rt --lib proptest -- --nocapture
+rm -rf "$knobdir"
+
 echo "=== chaos suite: fault rates {0, 0.05} x threads {1, 8, 16} ==="
 # Deterministic fault injection: rate 0 must be byte-invisible; rate 0.05
 # must injure model calls yet replay byte-identically at any worker

@@ -20,40 +20,12 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use smokescreen_bench::table::{fmt, Table};
+use smokescreen_bench::workloads::LatencyDetector;
 use smokescreen_core::{Aggregate, GeneratorConfig, ProfileGenerator, Workload};
 use smokescreen_degrade::{CandidateGrid, RestrictionIndex};
-use smokescreen_models::{Detections, Detector, SimYoloV4};
+use smokescreen_models::SimYoloV4;
 use smokescreen_video::synth::DatasetPreset;
-use smokescreen_video::{Frame, ObjectClass, Resolution};
-
-/// A detector with a simulated fixed per-inference latency.
-struct LatencyDetector {
-    inner: SimYoloV4,
-    latency: Duration,
-}
-
-impl Detector for LatencyDetector {
-    fn name(&self) -> &str {
-        "sim-yolov4-latency"
-    }
-
-    fn native_resolution(&self) -> Resolution {
-        self.inner.native_resolution()
-    }
-
-    fn supports(&self, res: Resolution) -> bool {
-        self.inner.supports(res)
-    }
-
-    fn detect(&self, frame: &Frame, res: Resolution) -> Detections {
-        std::thread::sleep(self.latency);
-        self.inner.detect(frame, res)
-    }
-
-    fn inference_cost_ms(&self, res: Resolution) -> f64 {
-        self.inner.inference_cost_ms(res)
-    }
-}
+use smokescreen_video::{ObjectClass, Resolution};
 
 #[test]
 fn bench_parallel_generation_speedup() {

@@ -15,17 +15,21 @@
 //! existing files. Exit codes: 0 ok, 1 regression or floor failure, 2
 //! usage/schema/IO error.
 //!
-//! Knobs: `SMOKESCREEN_BENCH_REPS` (repetitions), `SMOKESCREEN_BENCH_THRESHOLD`
-//! (regression threshold, overridden by `--threshold`).
+//! Knobs: `SMOKESCREEN_BENCH_REPS` (repetitions, overridden by `--reps`),
+//! `SMOKESCREEN_BENCH_THRESHOLD` (regression threshold, overridden by
+//! `--threshold`). Flags and knobs parse strictly, before anything runs:
+//! `--reps`, `--threads` and `--pr` must be positive integers and the
+//! threshold a finite non-negative number, else the exit code is 2.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use smokescreen_bench::trajectory::{
-    compare, git_rev, highest_bench_number, latest_bench_below, reps_from_env, run, schema_of,
-    threshold_from_env, Trajectory, TrajectoryConfig, DEFAULT_THRESHOLD,
+    compare, flag, git_rev, highest_bench_number, latest_bench_below, reps, run, schema_of,
+    threshold, Trajectory, TrajectoryConfig,
 };
 use smokescreen_rt::json::Json;
+use smokescreen_rt::knob;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,13 +55,19 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-fn threshold(args: &[String]) -> Result<f64, String> {
-    match flag_value(args, "--threshold") {
-        Some(raw) => raw
-            .parse::<f64>()
-            .map_err(|_| format!("--threshold {raw:?} is not a number")),
-        None => Ok(threshold_from_env().unwrap_or(DEFAULT_THRESHOLD)),
+/// Applies the numeric run flags to `config`; returns the threshold and
+/// the `--pr` number, if given.
+fn run_options(
+    args: &[String],
+    config: &mut TrajectoryConfig,
+) -> Result<(f64, Option<u64>), String> {
+    config.reps = reps(args, config.reps)?;
+    if let Some(threads) = flag(args, "--threads", &knob::POSITIVE)? {
+        config.threads = threads;
     }
+    let threshold = threshold(args)?;
+    let pr = flag(args, "--pr", &knob::POSITIVE)?;
+    Ok((threshold, pr.map(|pr| pr as u64)))
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
@@ -66,27 +76,17 @@ fn cmd_run(args: &[String]) -> ExitCode {
     } else {
         TrajectoryConfig::full()
     };
-    if let Some(reps) = flag_value(args, "--reps").and_then(|r| r.parse().ok()) {
-        config.reps = reps;
-    } else if let Some(reps) = reps_from_env() {
-        config.reps = reps;
-    }
-    if let Some(threads) = flag_value(args, "--threads").and_then(|t| t.parse().ok()) {
-        config.threads = threads;
-    }
-    let out_dir = flag_value(args, "--out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("bench_results"));
-    let threshold = match threshold(args) {
-        Ok(t) => t,
+    let (threshold, pr) = match run_options(args, &mut config) {
+        Ok(options) => options,
         Err(e) => {
             eprintln!("trajectory: {e}");
             return ExitCode::from(2);
         }
     };
-    let pr = flag_value(args, "--pr")
-        .and_then(|p| p.parse().ok())
-        .unwrap_or_else(|| highest_bench_number(&out_dir).map_or(6, |n| n + 1));
+    let out_dir = flag_value(args, "--out")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from("bench_results"));
+    let pr = pr.unwrap_or_else(|| highest_bench_number(&out_dir).map_or(6, |n| n + 1));
 
     let rev = git_rev(&std::env::current_dir().unwrap_or_else(|_| PathBuf::from(".")));
     eprintln!(

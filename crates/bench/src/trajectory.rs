@@ -20,6 +20,7 @@
 //! — so `trajectory check` can gate a `/2` run against a committed `/1`
 //! baseline.
 
+use std::ffi::OsStr;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -30,15 +31,17 @@ use smokescreen_core::{
 use smokescreen_degrade::{
     CandidateGrid, DegradedView, InterventionSet, RangeOutputs, RestrictionIndex,
 };
-use smokescreen_models::{Detections, Detector, OutputCache, SimYoloV4};
+use smokescreen_models::{OutputCache, SimYoloV4};
 use smokescreen_rt::bench::{bench_repeated, RepeatedMeasurement};
 use smokescreen_rt::json::{FromJson, Json, JsonError, ToJson};
+use smokescreen_rt::knob::{self, Kind};
 use smokescreen_serve::{ServeAddr, Server, ServerConfig};
 use smokescreen_video::synth::DatasetPreset;
-use smokescreen_video::{Frame, ObjectClass, Resolution, VideoCorpus};
+use smokescreen_video::{ObjectClass, Resolution, VideoCorpus};
 
 use crate::serve_client::{run_load, LoadConfig, LoadMix};
 use crate::table::{fmt, Table};
+use crate::workloads::LatencyDetector;
 
 /// Schema tag written into every trajectory file; bump on shape changes.
 pub const SCHEMA: &str = "smokescreen-trajectory/2";
@@ -78,11 +81,11 @@ pub struct TrajectoryConfig {
 
 impl TrajectoryConfig {
     /// Full paper-scale configuration (UA-DETRAC 15,210 frames, 100-rung
-    /// fraction ladder).
+    /// fraction ladder, 5 reps).
     pub fn full() -> Self {
         TrajectoryConfig {
             smoke: false,
-            reps: reps_from_env().unwrap_or(5),
+            reps: 5,
             threads: 4,
             seed: 1,
         }
@@ -92,7 +95,7 @@ impl TrajectoryConfig {
     pub fn smoke() -> Self {
         TrajectoryConfig {
             smoke: true,
-            reps: reps_from_env().unwrap_or(2),
+            reps: 2,
             threads: 4,
             seed: 1,
         }
@@ -113,18 +116,34 @@ impl TrajectoryConfig {
     }
 }
 
-/// Reads [`REPS_ENV`], ignoring unset or malformed values.
-pub fn reps_from_env() -> Option<usize> {
-    std::env::var(REPS_ENV).ok()?.parse().ok().filter(|&r| r > 0)
+/// The value of `name VALUE` in `args` as a strict `kind`: absent is
+/// `Ok(None)`; a missing or malformed value is an error naming the flag
+/// and the raw string, exactly like a malformed `SMOKESCREEN_*` knob.
+pub fn flag<T>(args: &[String], name: &str, kind: &Kind<T>) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let raw = args.get(i + 1).ok_or_else(|| format!("{name} needs a value"))?;
+    knob::parse(name, Some(OsStr::new(raw)), kind)
 }
 
-/// Reads [`THRESHOLD_ENV`], ignoring unset or malformed values.
-pub fn threshold_from_env() -> Option<f64> {
-    std::env::var(THRESHOLD_ENV)
-        .ok()?
-        .parse()
-        .ok()
-        .filter(|t: &f64| t.is_finite())
+/// Timed repetitions: `--reps`, else [`REPS_ENV`], else `default`; a
+/// positive integer.
+pub fn reps(args: &[String], default: usize) -> Result<usize, String> {
+    match flag(args, "--reps", &knob::POSITIVE)? {
+        Some(reps) => Ok(reps),
+        None => Ok(knob::read(REPS_ENV, &knob::POSITIVE)?.unwrap_or(default)),
+    }
+}
+
+/// The regression threshold: `--threshold`, else [`THRESHOLD_ENV`], else
+/// [`DEFAULT_THRESHOLD`]; finite and non-negative, so `NaN` or `inf` can
+/// never wave every regression through.
+pub fn threshold(args: &[String]) -> Result<f64, String> {
+    match flag(args, "--threshold", &knob::NON_NEGATIVE)? {
+        Some(threshold) => Ok(threshold),
+        None => Ok(knob::read(THRESHOLD_ENV, &knob::NON_NEGATIVE)?.unwrap_or(DEFAULT_THRESHOLD)),
+    }
 }
 
 /// One bench's record in a trajectory file. Every record carries the same
@@ -587,38 +606,6 @@ pub fn schema_of(value: &Json) -> Json {
                 .map(|(k, v)| (k.clone(), schema_of(v)))
                 .collect(),
         ),
-    }
-}
-
-/// A detector with a simulated fixed per-inference latency, standing in
-/// for the GPU round trips that dominate real deployments (the simulated
-/// detectors answer in nanoseconds, which would make thread scaling
-/// invisible).
-struct LatencyDetector {
-    inner: SimYoloV4,
-    latency: Duration,
-}
-
-impl Detector for LatencyDetector {
-    fn name(&self) -> &str {
-        "sim-yolov4-latency"
-    }
-
-    fn native_resolution(&self) -> Resolution {
-        self.inner.native_resolution()
-    }
-
-    fn supports(&self, res: Resolution) -> bool {
-        self.inner.supports(res)
-    }
-
-    fn detect(&self, frame: &Frame, res: Resolution) -> Detections {
-        std::thread::sleep(self.latency);
-        self.inner.detect(frame, res)
-    }
-
-    fn inference_cost_ms(&self, res: Resolution) -> f64 {
-        self.inner.inference_cost_ms(res)
     }
 }
 

@@ -9,14 +9,15 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use smokescreen_core::{Aggregate, Workload};
 use smokescreen_degrade::RestrictionIndex;
-use smokescreen_models::{Detector, SimMaskRcnn, SimYoloV4};
+use smokescreen_models::{Detections, Detector, SimMaskRcnn, SimYoloV4};
 use smokescreen_rt::sync::RwLock;
 use smokescreen_stats::sample::sample_indices;
 use smokescreen_video::synth::DatasetPreset;
-use smokescreen_video::{ObjectClass, Resolution, VideoCorpus};
+use smokescreen_video::{Frame, ObjectClass, Resolution, VideoCorpus};
 
 use crate::RunConfig;
 
@@ -221,6 +222,42 @@ pub fn resolution_sweep(model: ModelKind, native_side: u32) -> Vec<Resolution> {
     out
 }
 
+/// A detector with a simulated fixed per-inference latency, standing in
+/// for the GPU round trips that dominate real deployments (the simulated
+/// detectors answer in nanoseconds, which would make thread scaling
+/// invisible). Sleeping inferences overlap across workers even on a
+/// single-core host, so scaling measured with it is latency overlap, not
+/// CPU scaling.
+pub struct LatencyDetector {
+    /// The detector whose answers are returned.
+    pub inner: SimYoloV4,
+    /// Sleep before every inference.
+    pub latency: Duration,
+}
+
+impl Detector for LatencyDetector {
+    fn name(&self) -> &str {
+        "sim-yolov4-latency"
+    }
+
+    fn native_resolution(&self) -> Resolution {
+        self.inner.native_resolution()
+    }
+
+    fn supports(&self, res: Resolution) -> bool {
+        self.inner.supports(res)
+    }
+
+    fn detect(&self, frame: &Frame, res: Resolution) -> Detections {
+        std::thread::sleep(self.latency);
+        self.inner.detect(frame, res)
+    }
+
+    fn inference_cost_ms(&self, res: Resolution) -> f64 {
+        self.inner.inference_cost_ms(res)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,3 +312,4 @@ mod tests {
         assert_eq!(ModelKind::paper_default(DatasetPreset::Detrac), ModelKind::Yolo);
     }
 }
+

@@ -152,3 +152,35 @@ fn check_rejects_malformed_and_missing_files() {
     assert_eq!(out.status.code(), Some(2), "no subcommand is a usage error");
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn malformed_gate_flags_and_knobs_exit_2_before_running() {
+    const REPS: &str = "SMOKESCREEN_BENCH_REPS";
+    let dir = tmp_dir("strict");
+    let out = dir.to_str().unwrap();
+    let cases: [(&[&str], Option<(&str, &str)>, &str); 7] = [
+        (&["run", "--smoke", "--threshold", "NaN", "--out", out], None, "--threshold"),
+        (&["run", "--smoke", "--threshold", "-1", "--out", out], None, "--threshold"),
+        (&["run", "--smoke", "--reps", "abc", "--out", out], None, "--reps"),
+        (&["run", "--smoke", "--threads", "0", "--out", out], None, "--threads"),
+        (&["run", "--smoke", "--pr", "six", "--out", out], None, "--pr"),
+        (&["run", "--smoke", "--out", out], Some((REPS, "lots")), REPS),
+        (&["check", "--prev", out, "--cur", out, "--threshold", "inf"], None, "--threshold"),
+    ];
+    for (args, env, name) in cases {
+        let mut cmd = Command::new(bin());
+        cmd.args(args).env_remove(REPS);
+        if let Some((var, raw)) = env {
+            cmd.env(var, raw);
+        }
+        let run = cmd.output().unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args:?} {env:?}: {stderr}");
+        assert!(stderr.contains(name), "{args:?}: stderr must name {name}: {stderr}");
+    }
+    assert!(
+        fs::read_dir(&dir).unwrap().next().is_none(),
+        "a malformed knob must stop the run before it writes anything"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -1,13 +1,9 @@
 //! A minimal in-tree benchmark timer replacing Criterion.
 //!
-//! Bench targets compile under the ordinary libtest harness
-//! (`harness = true`) and run as `#[test]` functions, so `cargo test -q`
-//! builds and exercises them on every commit; `cargo test -- --nocapture`
-//! (or `cargo bench`) shows the timings. [`bench`] reports min/mean for
-//! order-of-magnitude claims (§5.3.1's "tens of milliseconds");
 //! [`bench_repeated`] keeps every sample and reports median/p95, which is
 //! what the `trajectory` harness persists into `BENCH_*.json` for
-//! regression gating.
+//! regression gating — the one source of timing numbers in the
+//! workspace.
 //!
 //! The [`alloc`] submodule installs a counting global allocator whose
 //! thread-local counters are armed only inside [`alloc::measure`]; every
@@ -16,7 +12,7 @@
 //! warm scratch buffers) — the number the zero-alloc hot-path claims in
 //! `BENCH_*.json` are gated on.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 pub mod alloc {
     //! Steady-state allocation counting.
@@ -112,53 +108,6 @@ pub mod alloc {
     }
 }
 
-/// One benchmark measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Measurement {
-    /// Iterations timed.
-    pub iters: u32,
-    /// Total wall time across all iterations.
-    pub total: Duration,
-    /// Fastest single iteration.
-    pub min: Duration,
-}
-
-impl Measurement {
-    /// Mean time per iteration.
-    pub fn mean(&self) -> Duration {
-        self.total / self.iters.max(1)
-    }
-}
-
-/// Times `f` for `iters` iterations (after one untimed warm-up), prints a
-/// `name  mean  min` line, and returns the measurement. The closure's
-/// return value is consumed through `std::hint::black_box` so the work
-/// cannot be optimized away.
-pub fn bench<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) -> Measurement {
-    std::hint::black_box(f());
-    let mut total = Duration::ZERO;
-    let mut min = Duration::MAX;
-    for _ in 0..iters.max(1) {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        let elapsed = start.elapsed();
-        total += elapsed;
-        min = min.min(elapsed);
-    }
-    let m = Measurement {
-        iters: iters.max(1),
-        total,
-        min,
-    };
-    println!(
-        "bench {name:<48} mean {:>12} min {:>12} ({} iters)",
-        fmt_duration(m.mean()),
-        fmt_duration(m.min),
-        m.iters
-    );
-    m
-}
-
 /// A benchmark measurement that keeps every per-repetition sample, so
 /// order statistics (median/p95) survive into machine-readable output.
 #[derive(Debug, Clone, PartialEq)]
@@ -242,34 +191,9 @@ pub fn bench_repeated<R>(name: &str, reps: usize, mut f: impl FnMut() -> R) -> R
     m
 }
 
-fn fmt_duration(d: Duration) -> String {
-    let nanos = d.as_nanos();
-    if nanos < 10_000 {
-        format!("{nanos} ns")
-    } else if nanos < 10_000_000 {
-        format!("{:.1} µs", nanos as f64 / 1_000.0)
-    } else if nanos < 10_000_000_000 {
-        format!("{:.2} ms", nanos as f64 / 1_000_000.0)
-    } else {
-        format!("{:.2} s", nanos as f64 / 1_000_000_000.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_runs_and_measures() {
-        let mut calls = 0u32;
-        let m = bench("noop", 5, || {
-            calls += 1;
-            calls
-        });
-        assert_eq!(m.iters, 5);
-        assert_eq!(calls, 6, "one warm-up plus five timed iterations");
-        assert!(m.min <= m.mean());
-    }
 
     #[test]
     fn bench_repeated_runs_and_measures() {
@@ -372,13 +296,5 @@ mod tests {
             alloc::AllocStats::default(),
             "warm reps must be allocation-free"
         );
-    }
-
-    #[test]
-    fn durations_format_in_sane_units() {
-        assert!(fmt_duration(Duration::from_nanos(120)).ends_with("ns"));
-        assert!(fmt_duration(Duration::from_micros(120)).ends_with("µs"));
-        assert!(fmt_duration(Duration::from_millis(120)).ends_with("ms"));
-        assert!(fmt_duration(Duration::from_secs(12)).ends_with(" s"));
     }
 }

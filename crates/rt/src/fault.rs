@@ -1,61 +1,47 @@
-//! Deterministic fault injection — seeded chaos for the model substrate.
+//! Deterministic fault injection: one seeded-decision core, five kind
+//! tables.
 //!
-//! In production, detectors time out, workers die mid-cell, and cache
-//! shards get poisoned by partial writes. The paper's error bounds are
-//! only trustworthy if the system stays *sound* under such failures, so
-//! the workspace injects them on purpose — but, like every other
-//! stochastic component here, deterministically: a [`FaultPlan`] is a
-//! pure function from a 64-bit call key to a fault decision, derived from
-//! a seeded xoshiro256\*\* stream ([`crate::rng::StdRng`]). Two runs with
-//! the same plan observe byte-identical fault schedules regardless of
-//! thread count or interleaving, which is what makes chaos runs
-//! replayable bit-for-bit and lets the determinism suite compare 1-, 2-,
-//! and 8-worker profiles under injected failures.
+//! The paper's error bounds are only trustworthy if the system stays
+//! *sound* when detectors time out, processes die, disks tear writes, the
+//! wire drops frames and the frames themselves shift. The workspace
+//! injects all of these on purpose, and deterministically: every plan is a
+//! pure function from a 64-bit key to a decision, so two runs with the
+//! same plan observe byte-identical schedules at any thread count or
+//! interleaving. That is what makes chaos runs replayable bit-for-bit and
+//! lets the determinism suites compare 1-, 8- and 16-worker runs under
+//! injected failures.
 //!
-//! The plan schedules four failure modes:
+//! **One core.** [`Seeded`] holds a plan's `(seed, rate)`, with the rate
+//! clamped to `[0, 1]`. It reads them from the plan's `<PREFIX>_SEED` /
+//! `<PREFIX>_RATE` pair under the [`knob`](crate::knob) policy: an unset
+//! seed is 0, an unset or zero rate disables the plan, and a malformed
+//! value is a loud startup error naming the variable and the raw string.
+//! It also makes every decision's *roll*: a xoshiro256\*\* stream
+//! ([`crate::rng::StdRng`]) seeded from `mix(seed ^ salt, key)`, then the
+//! rate coin. A roll that hits hands back the coin and the stream, and the
+//! same stream goes on to draw the kind and its parameters.
 //!
-//! * **Timeout** — the call fails on every attempt; retries cannot save
-//!   it (a hung detector process).
-//! * **Transient** — the call fails for a deterministic number of
-//!   attempts, then succeeds (a briefly overloaded worker). Retry with
-//!   backoff clears it.
-//! * **Slow** — the call succeeds but costs deterministic extra
-//!   simulated latency (a degraded accelerator).
-//! * **CachePoison** — the call succeeds but its cache shard is poisoned:
-//!   the output must never be stored, so every future request re-runs the
-//!   model (an evicting / corrupted shard).
+//! **Five kind tables.** Each plan is a stream salt plus a [`KindTable`]:
+//! cumulative edges, each paired with a constructor that draws that
+//! kind's parameters from the rolled stream.
 //!
-//! Replay recipe: set `SMOKESCREEN_FAULT_SEED` and
-//! `SMOKESCREEN_FAULT_RATE` and build the plan with
-//! [`FaultPlan::from_env`]; any failure observed in a chaos run can then
-//! be replayed exactly. Malformed values in any of these variables are a
-//! *loud* startup error (a panic naming the variable and the offending
-//! string) — a typo in a chaos knob must never silently run the
-//! faults-disabled configuration.
+//! | plan | key | kinds, by cumulative edge |
+//! |------|-----|---------------------------|
+//! | [`FaultPlan`] | model call | timeout / transient / slow / cache poison, edges = the absolute per-mode rates summed in that order, checked against the coin itself (salt 0) |
+//! | [`CrashPlan`] | journal commit | after-append `0.5` / torn append |
+//! | [`DiskFaultPlan`] | store operation | writes: short write `0.40` / torn sync `0.70` / `EIO`; reads (own salt): bit-flip |
+//! | [`NetFaultPlan`] | request id | drop request `0.25` / drop response `0.50` / partial response `0.70` / delay `0.90` / reset |
+//! | `video::PerturbPlan` | frame index | the plan's one kind; drift replaces the coin with a tail regime |
 //!
-//! Beyond per-call faults, [`CrashPlan`] schedules whole-*process* deaths
-//! for the checkpoint/resume suite: a pure function of `(seed, cell
-//! index)` decides whether generation dies right after durably journaling
-//! a cell ([`CrashKind::AfterAppend`]) or mid-append, leaving a torn
-//! record ([`CrashKind::TornAppend`]). Because the decision is pure,
-//! crash→resume→compare is replayable bit-for-bit, composing with any
-//! [`FaultPlan`].
-//!
-//! The serving stack gets its own two plan families with the same
-//! contract. [`DiskFaultPlan`] schedules storage-level failures against
-//! the profile store — short writes, torn syncs, transient read bit-flips
-//! and outright `EIO` — keyed on a per-operation id, with *separate*
-//! write and read decision streams so an append and the read-back of the
-//! same record never share a fate. [`NetFaultPlan`] schedules wire-level
-//! failures against the daemon — dropped requests, dropped or truncated
-//! responses, simulated delay and connection resets — keyed on the
-//! client-stamped request id (`rid`), so a retried request (new rid) rolls
-//! a fresh decision. Both arm from `SMOKESCREEN_DISKFAULT_SEED` /
-//! `SMOKESCREEN_DISKFAULT_RATE` and `SMOKESCREEN_NETFAULT_SEED` /
-//! `SMOKESCREEN_NETFAULT_RATE` under the same strict-parse-or-panic
-//! contract as the generation knobs.
+//! Distinct salts keep plans built from one seed statistically
+//! independent. Replay recipe: set a plan's `SMOKESCREEN_<PREFIX>_SEED`
+//! and `SMOKESCREEN_<PREFIX>_RATE` (prefixes `FAULT`, `CRASH`,
+//! `DISKFAULT`, `NETFAULT`, `PERTURB`) and build it with its `from_env`;
+//! any failure observed in a chaos run then replays exactly.
 
+use crate::knob;
 use crate::rng::StdRng;
+use std::ffi::OsStr;
 
 /// Environment variable carrying the fault-plan seed (decimal `u64`).
 pub const FAULT_SEED_ENV: &str = "SMOKESCREEN_FAULT_SEED";
@@ -81,19 +67,157 @@ pub const NETFAULT_SEED_ENV: &str = "SMOKESCREEN_NETFAULT_SEED";
 /// Environment variable carrying the per-request net-fault rate in `[0, 1]`.
 pub const NETFAULT_RATE_ENV: &str = "SMOKESCREEN_NETFAULT_RATE";
 
+/// A plan's `(seed, rate)` and the roll every one of its decisions starts
+/// with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Seeded {
+    seed: u64,
+    rate: f64,
+}
+
+impl Seeded {
+    /// `(seed, rate)` with the rate clamped to `[0, 1]`.
+    pub fn new(seed: u64, rate: f64) -> Self {
+        Seeded {
+            seed,
+            rate: rate.clamp(0.0, 1.0),
+        }
+    }
+
+    /// The plan seed (for replay reporting).
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// Per-key decision probability.
+    pub fn rate(&self) -> f64 {
+        self.rate
+    }
+
+    /// Reads the `seed_var` / `rate_var` pair from the environment under
+    /// [`Seeded::parse_env`], panicking on a malformed value.
+    pub fn from_env(seed_var: &str, rate_var: &str) -> Option<Self> {
+        let (seed, rate) = (knob::raw(seed_var), knob::raw(rate_var));
+        knob::loud(Self::parse_env(seed_var, seed.as_deref(), rate_var, rate.as_deref()))
+    }
+
+    /// Parses a raw seed/rate pair: an unset seed is 0, an unset or zero
+    /// rate disables the plan (`Ok(None)`), and a malformed value is an
+    /// error naming its variable and the raw string.
+    pub fn parse_env<S: AsRef<OsStr> + ?Sized>(
+        seed_var: &str,
+        seed: Option<&S>,
+        rate_var: &str,
+        rate: Option<&S>,
+    ) -> Result<Option<Self>, String> {
+        let seed = knob::parse(seed_var, seed.map(AsRef::as_ref), &knob::SEED)?.unwrap_or(0);
+        let rate = knob::parse(rate_var, rate.map(AsRef::as_ref), &knob::RATE)?;
+        Ok(rate.filter(|&r| r > 0.0).map(|r| Seeded::new(seed, r)))
+    }
+
+    /// The salted per-key stream, the one place a plan seeds its rng;
+    /// `None` when the plan is disabled (rate 0).
+    pub fn stream(&self, salt: u64, key: u64) -> Option<StdRng> {
+        (self.rate > 0.0).then(|| StdRng::seed_from_u64(mix(self.seed ^ salt, key)))
+    }
+
+    /// The roll: the salted stream, then the rate coin. A hit returns the
+    /// coin `u < rate` and the stream that goes on to draw the kind and
+    /// its parameters.
+    pub fn roll(&self, salt: u64, key: u64) -> Option<(f64, StdRng)> {
+        let mut rng = self.stream(salt, key)?;
+        let u = rng.gen_f64();
+        (u < self.rate).then_some((u, rng))
+    }
+
+    /// Rolls `key` and, on a hit, picks the kind from `table` with the
+    /// stream's next draw.
+    pub fn decide<K>(&self, salt: u64, key: u64, table: &KindTable<K>) -> Option<K> {
+        let (_, mut rng) = self.roll(salt, key)?;
+        let u = rng.gen_f64();
+        pick(table, u, &mut rng)
+    }
+}
+
+/// A kind table: cumulative edges, each paired with the constructor that
+/// draws that kind's parameters from the rolled stream. Edges are
+/// literals, never weights summed at run time (in `f64`,
+/// `0.7 + 0.2 != 0.9`).
+pub type KindTable<K> = [(f64, fn(&mut StdRng) -> K)];
+
+/// The kind whose cumulative edge first lies above `u`, with its
+/// parameters drawn from `rng`; `None` when `u` is past the last edge.
+pub fn pick<K>(table: &KindTable<K>, u: f64, rng: &mut StdRng) -> Option<K> {
+    let &(_, make) = table.iter().find(|&&(edge, _)| u < edge)?;
+    Some(make(rng))
+}
+
+/// Avalanches `(seed, key)` into one well-mixed 64-bit stream seed
+/// (SplitMix64 finalizer over both words).
+fn mix(seed: u64, key: u64) -> u64 {
+    let mut x = seed ^ key.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The constructor, accessors and env parsing of a plan that is a
+/// [`Seeded`] core plus its salts and kind tables.
+macro_rules! seeded_plan {
+    ($plan:ident, $seed_env:ident, $rate_env:ident) => {
+        impl $plan {
+            /// A plan deciding each key with probability `rate` (clamped
+            /// to `[0, 1]`).
+            pub fn new(seed: u64, rate: f64) -> Self {
+                $plan(Seeded::new(seed, rate))
+            }
+
+            /// The plan seed (for replay reporting).
+            pub fn seed(&self) -> u64 {
+                self.0.seed()
+            }
+
+            /// Per-key decision probability.
+            pub fn rate(&self) -> f64 {
+                self.0.rate()
+            }
+
+            #[doc = concat!(
+                "Builds a plan from [`", stringify!($seed_env), "`] / [`",
+                stringify!($rate_env), "`]."
+            )]
+            /// Returns `None` when the rate is unset or zero; malformed
+            /// values are a loud startup error.
+            pub fn from_env() -> Option<Self> {
+                Seeded::from_env($seed_env, $rate_env).map($plan)
+            }
+
+            /// Parse layer behind `from_env`, exposed for tests.
+            pub fn parse_env(
+                seed: Option<&str>,
+                rate: Option<&str>,
+            ) -> Result<Option<Self>, String> {
+                Ok(Seeded::parse_env($seed_env, seed, $rate_env, rate)?.map($plan))
+            }
+        }
+    };
+}
+
 /// One scheduled fault for a model call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Fails on every attempt; only a circuit breaker stops the bleeding.
+    /// Fails on every attempt (a hung detector process); retries cannot
+    /// save it, only a circuit breaker stops the bleeding.
     Timeout,
     /// Fails until the given 1-based attempt succeeds (attempt indices
-    /// `0..clears_after` fail, attempt `clears_after` succeeds).
+    /// `0..clears_after` fail, attempt `clears_after` succeeds): a briefly
+    /// overloaded worker that retry with backoff clears.
     Transient {
         /// Number of failed attempts before the call clears.
         clears_after: u32,
     },
     /// Succeeds, but the response costs this much extra simulated
-    /// latency in milliseconds.
+    /// latency in milliseconds (a degraded accelerator).
     Slow {
         /// Extra simulated latency, ms.
         extra_ms: u32,
@@ -104,13 +228,27 @@ pub enum FaultKind {
     CachePoison,
 }
 
-/// A seeded, replayable fault schedule.
+/// The model-fault kinds in edge order; [`FaultPlan`] pairs them with its
+/// per-mode rates.
+const FAULT_KINDS: [fn(&mut StdRng) -> FaultKind; 4] = [
+    |_| FaultKind::Timeout,
+    // 1–3 failed attempts before clearing: within the default retry
+    // budget sometimes, beyond it sometimes, so both the retry-success
+    // and retry-exhausted paths get exercised.
+    |rng| FaultKind::Transient {
+        clears_after: rng.gen_range(1u32..=3),
+    },
+    |rng| FaultKind::Slow {
+        extra_ms: rng.gen_range(5u32..=250),
+    },
+    |_| FaultKind::CachePoison,
+];
+
+/// A seeded, replayable schedule of model-call faults.
 ///
-/// The plan is plain data (`Copy`): decisions are *pure functions* of
-/// `(plan, call key)`, never of shared mutable state, so any thread can
-/// evaluate them in any order and observe the identical schedule. The
-/// per-key decision stream is xoshiro256\*\* seeded from a SplitMix-style
-/// avalanche of the plan seed and the key.
+/// Unlike the other plans, one coin both decides and picks: the roll's
+/// `u` is checked against the absolute per-mode rates summed in
+/// timeout, transient, slow, poison order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
@@ -158,29 +296,18 @@ impl FaultPlan {
         }
     }
 
-    /// Builds a plan from `SMOKESCREEN_FAULT_SEED` /
-    /// `SMOKESCREEN_FAULT_RATE`. Returns `None` when the rate is unset or
-    /// zero — the faults-disabled configuration. A malformed seed or rate
-    /// is a loud startup error (panic naming the variable and the raw
-    /// string): a typo must never silently disable chaos.
+    /// Builds a plan from [`FAULT_SEED_ENV`] / [`FAULT_RATE_ENV`]. Returns
+    /// `None` when the rate is unset or zero — the faults-disabled
+    /// configuration; malformed values are a loud startup error.
     pub fn from_env() -> Option<Self> {
-        match Self::parse_env(
-            std::env::var(FAULT_SEED_ENV).ok().as_deref(),
-            std::env::var(FAULT_RATE_ENV).ok().as_deref(),
-        ) {
-            Ok(plan) => plan,
-            Err(msg) => panic!("{msg}"),
-        }
+        Seeded::from_env(FAULT_SEED_ENV, FAULT_RATE_ENV).map(|s| FaultPlan::new(s.seed, s.rate))
     }
 
     /// Parse layer behind [`FaultPlan::from_env`], exposed for tests.
     /// `Err` carries a message naming the offending variable and value.
     pub fn parse_env(seed: Option<&str>, rate: Option<&str>) -> Result<Option<Self>, String> {
-        let seed = parse_seed(FAULT_SEED_ENV, seed)?;
-        match parse_rate(FAULT_RATE_ENV, rate)? {
-            Some(rate) if rate > 0.0 => Ok(Some(FaultPlan::new(seed, rate))),
-            _ => Ok(None),
-        }
+        let plan = Seeded::parse_env(FAULT_SEED_ENV, seed, FAULT_RATE_ENV, rate)?;
+        Ok(plan.map(|s| FaultPlan::new(s.seed, s.rate)))
     }
 
     /// The plan seed (for replay reporting).
@@ -198,35 +325,25 @@ impl FaultPlan {
     /// Pure in `(self, key)`: the same plan and key always return the
     /// same decision, on any thread, in any order.
     pub fn fault_for(&self, key: u64) -> Option<FaultKind> {
-        if self.total_rate() <= 0.0 {
-            return None;
-        }
-        let mut rng = StdRng::seed_from_u64(mix(self.seed, key));
-        let u = rng.gen_f64();
-        let mut edge = self.timeout_rate;
-        if u < edge {
-            return Some(FaultKind::Timeout);
-        }
-        edge += self.transient_rate;
-        if u < edge {
-            // 1–3 failed attempts before clearing: within the default
-            // retry budget sometimes, beyond it sometimes, so both the
-            // retry-success and retry-exhausted paths get exercised.
-            return Some(FaultKind::Transient {
-                clears_after: rng.gen_range(1u32..=3),
-            });
-        }
-        edge += self.slow_rate;
-        if u < edge {
-            return Some(FaultKind::Slow {
-                extra_ms: rng.gen_range(5u32..=250),
-            });
-        }
-        edge += self.poison_rate;
-        if u < edge {
-            return Some(FaultKind::CachePoison);
-        }
-        None
+        let (u, mut rng) = Seeded::new(self.seed, self.total_rate()).roll(0, key)?;
+        pick(&self.kinds(), u, &mut rng)
+    }
+
+    /// The plan's kind table: the absolute per-mode rates summed in
+    /// timeout, transient, slow, poison order, so the last edge is
+    /// exactly [`FaultPlan::total_rate`].
+    pub fn kinds(&self) -> [(f64, fn(&mut StdRng) -> FaultKind); 4] {
+        let rates = [
+            self.timeout_rate,
+            self.transient_rate,
+            self.slow_rate,
+            self.poison_rate,
+        ];
+        let mut edge = 0.0;
+        std::array::from_fn(|i| {
+            edge += rates[i];
+            (edge, FAULT_KINDS[i])
+        })
     }
 }
 
@@ -246,92 +363,37 @@ pub enum CrashKind {
     },
 }
 
-/// A seeded, replayable schedule of process deaths during generation.
-///
-/// Like [`FaultPlan`], decisions are pure functions of `(plan, cell
-/// index)` — same plan, same cells, same crashes, at any thread count.
-/// The decision stream is keyed with a different avalanche constant than
-/// the fault stream, so crash and fault schedules built from the same
-/// seed are statistically independent.
+/// A seeded, replayable schedule of process deaths during generation,
+/// keyed on the cell index at journal-commit time.
 ///
 /// A crash plan only makes *progress* when paired with a checkpoint
-/// directory: the crash fires at journal-commit time, so without a
-/// journal an identical rerun dies at the same cell forever. That is by
-/// design — the plan simulates death, the journal supplies durability,
-/// and the tests assert the pair converges.
+/// directory: without a journal an identical rerun dies at the same cell
+/// forever. That is by design — the plan simulates death, the journal
+/// supplies durability, and the tests assert the pair converges.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CrashPlan {
-    seed: u64,
-    rate: f64,
-}
+pub struct CrashPlan(Seeded);
+
+seeded_plan!(CrashPlan, CRASH_SEED_ENV, CRASH_RATE_ENV);
 
 /// Domain-separation constant keeping crash decisions independent of
 /// fault decisions derived from the same seed.
 const CRASH_STREAM_SALT: u64 = 0x5C1A_11ED_C4A5_D00D;
 
+/// [`CrashPlan`]'s kind table: half the scheduled deaths are clean, half
+/// tear the record.
+pub const CRASH_KINDS: &KindTable<CrashKind> = &[
+    (0.5, |_| CrashKind::AfterAppend),
+    // Strictly below 1 so the record is always actually torn.
+    (1.0, |rng| CrashKind::TornAppend {
+        keep_frac: rng.gen_f64() * 0.95,
+    }),
+];
+
 impl CrashPlan {
-    /// A plan killing generation at each cell's journal commit with
-    /// probability `rate` (clamped to `[0, 1]`).
-    pub fn new(seed: u64, rate: f64) -> Self {
-        CrashPlan {
-            seed,
-            rate: rate.clamp(0.0, 1.0),
-        }
-    }
-
-    /// The plan seed (for replay reporting).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Per-cell crash probability.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// The death scheduled at `cell`'s journal commit, or `None` if the
-    /// commit completes. Pure in `(self, cell)`. Roughly half the
-    /// scheduled deaths are clean ([`CrashKind::AfterAppend`]) and half
-    /// tear the record ([`CrashKind::TornAppend`]).
+    /// commit completes. Pure in `(self, cell)`.
     pub fn crash_at(&self, cell: u64) -> Option<CrashKind> {
-        if self.rate <= 0.0 {
-            return None;
-        }
-        let mut rng = StdRng::seed_from_u64(mix(self.seed ^ CRASH_STREAM_SALT, cell));
-        if rng.gen_f64() >= self.rate {
-            return None;
-        }
-        if rng.gen_f64() < 0.5 {
-            Some(CrashKind::AfterAppend)
-        } else {
-            Some(CrashKind::TornAppend {
-                // Strictly below 1 so the record is always actually torn.
-                keep_frac: rng.gen_f64() * 0.95,
-            })
-        }
-    }
-
-    /// Builds a plan from `SMOKESCREEN_CRASH_SEED` /
-    /// `SMOKESCREEN_CRASH_RATE`. Returns `None` when the rate is unset or
-    /// zero; malformed values are a loud startup error, matching
-    /// [`FaultPlan::from_env`].
-    pub fn from_env() -> Option<Self> {
-        match Self::parse_env(
-            std::env::var(CRASH_SEED_ENV).ok().as_deref(),
-            std::env::var(CRASH_RATE_ENV).ok().as_deref(),
-        ) {
-            Ok(plan) => plan,
-            Err(msg) => panic!("{msg}"),
-        }
-    }
-
-    /// Parse layer behind [`CrashPlan::from_env`], exposed for tests.
-    pub fn parse_env(seed: Option<&str>, rate: Option<&str>) -> Result<Option<Self>, String> {
-        let seed = parse_seed(CRASH_SEED_ENV, seed)?;
-        match parse_rate(CRASH_RATE_ENV, rate)? {
-            Some(rate) if rate > 0.0 => Ok(Some(CrashPlan::new(seed, rate))),
-            _ => Ok(None),
-        }
+        self.0.decide(CRASH_STREAM_SALT, cell, CRASH_KINDS)
     }
 }
 
@@ -368,19 +430,16 @@ pub enum DiskFaultKind {
 
 /// A seeded, replayable schedule of storage faults for the profile store.
 ///
-/// Decisions are pure functions of `(plan, operation key)` like every
-/// other plan here, with one refinement: writes and reads draw from
-/// *separate* decision streams (distinct domain salts), so the append of
-/// a record and later reads of the same record fault independently. The
+/// Writes and reads roll under *separate* salts, so the append of a
+/// record and later reads of the same record fault independently. The
 /// store keys write operations on `(key, seq, attempt)` — a retried
 /// append rolls a fresh decision — and read operations on `(key, seq)`,
 /// so a scheduled bit-flip hits every reader of that record until the
 /// per-record attempt counter passes `heals_after`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiskFaultPlan {
-    seed: u64,
-    rate: f64,
-}
+pub struct DiskFaultPlan(Seeded);
+
+seeded_plan!(DiskFaultPlan, DISKFAULT_SEED_ENV, DISKFAULT_RATE_ENV);
 
 /// Domain-separation constant for the disk *write* decision stream.
 const DISK_WRITE_STREAM_SALT: u64 = 0xD15C_F417_B10C_4EA1;
@@ -388,89 +447,33 @@ const DISK_WRITE_STREAM_SALT: u64 = 0xD15C_F417_B10C_4EA1;
 /// Domain-separation constant for the disk *read* decision stream.
 const DISK_READ_STREAM_SALT: u64 = 0xD15C_0F11_D47A_0B0E;
 
+/// [`DiskFaultPlan`]'s write kind table: 40% short write, 30% torn sync,
+/// 30% `EIO`.
+pub const DISK_WRITE_KINDS: &KindTable<DiskFaultKind> = &[
+    // Strictly below 1 so the frame is always actually torn.
+    (0.40, |rng| DiskFaultKind::ShortWrite {
+        keep_frac: rng.gen_f64() * 0.95,
+    }),
+    (0.70, |_| DiskFaultKind::TornSync),
+    (1.0, |_| DiskFaultKind::Eio),
+];
+
 impl DiskFaultPlan {
-    /// A plan faulting each disk operation with probability `rate`
-    /// (clamped to `[0, 1]`). Scheduled write faults split 40% short
-    /// write / 30% torn sync / 30% `EIO`; scheduled read faults are
-    /// always transient bit-flips.
-    pub fn new(seed: u64, rate: f64) -> Self {
-        DiskFaultPlan {
-            seed,
-            rate: rate.clamp(0.0, 1.0),
-        }
-    }
-
-    /// The plan seed (for replay reporting).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Per-operation fault probability.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// The fault scheduled for write operation `op`, or `None` for a
     /// clean append. Pure in `(self, op)`; never returns
     /// [`DiskFaultKind::ReadBitFlip`].
     pub fn write_fault(&self, op: u64) -> Option<DiskFaultKind> {
-        if self.rate <= 0.0 {
-            return None;
-        }
-        let mut rng = StdRng::seed_from_u64(mix(self.seed ^ DISK_WRITE_STREAM_SALT, op));
-        if rng.gen_f64() >= self.rate {
-            return None;
-        }
-        let u = rng.gen_f64();
-        if u < 0.40 {
-            Some(DiskFaultKind::ShortWrite {
-                // Strictly below 1 so the frame is always actually torn.
-                keep_frac: rng.gen_f64() * 0.95,
-            })
-        } else if u < 0.70 {
-            Some(DiskFaultKind::TornSync)
-        } else {
-            Some(DiskFaultKind::Eio)
-        }
+        self.0.decide(DISK_WRITE_STREAM_SALT, op, DISK_WRITE_KINDS)
     }
 
     /// The fault scheduled for read operation `op`, or `None` for a
-    /// clean read. Pure in `(self, op)`; always a
-    /// [`DiskFaultKind::ReadBitFlip`] when scheduled.
+    /// clean read. Pure in `(self, op)`; the read stream has one kind, so
+    /// it draws no kind coin.
     pub fn read_fault(&self, op: u64) -> Option<DiskFaultKind> {
-        if self.rate <= 0.0 {
-            return None;
-        }
-        let mut rng = StdRng::seed_from_u64(mix(self.seed ^ DISK_READ_STREAM_SALT, op));
-        if rng.gen_f64() >= self.rate {
-            return None;
-        }
+        let (_, mut rng) = self.0.roll(DISK_READ_STREAM_SALT, op)?;
         Some(DiskFaultKind::ReadBitFlip {
             heals_after: rng.gen_range(1u32..=2),
         })
-    }
-
-    /// Builds a plan from `SMOKESCREEN_DISKFAULT_SEED` /
-    /// `SMOKESCREEN_DISKFAULT_RATE`. Returns `None` when the rate is
-    /// unset or zero; malformed values are a loud startup error, matching
-    /// [`FaultPlan::from_env`].
-    pub fn from_env() -> Option<Self> {
-        match Self::parse_env(
-            std::env::var(DISKFAULT_SEED_ENV).ok().as_deref(),
-            std::env::var(DISKFAULT_RATE_ENV).ok().as_deref(),
-        ) {
-            Ok(plan) => plan,
-            Err(msg) => panic!("{msg}"),
-        }
-    }
-
-    /// Parse layer behind [`DiskFaultPlan::from_env`], exposed for tests.
-    pub fn parse_env(seed: Option<&str>, rate: Option<&str>) -> Result<Option<Self>, String> {
-        let seed = parse_seed(DISKFAULT_SEED_ENV, seed)?;
-        match parse_rate(DISKFAULT_RATE_ENV, rate)? {
-            Some(rate) if rate > 0.0 => Ok(Some(DiskFaultPlan::new(seed, rate))),
-            _ => Ok(None),
-        }
     }
 }
 
@@ -502,134 +505,40 @@ pub enum NetFaultKind {
 
 /// A seeded, replayable schedule of wire faults for the serving daemon.
 ///
-/// Decisions are pure functions of `(plan, rid)` where `rid` is the
-/// request id the client stamps into each attempt — so a retry (fresh
-/// rid) rolls a fresh decision, and replaying a load with the same
-/// client seeds replays the identical fault schedule at any server
-/// width. Requests without a rid (control operations like `stats` and
-/// `shutdown`) are never faulted.
+/// Decisions are keyed on the request id (`rid`) the client stamps into
+/// each attempt — so a retry (fresh rid) rolls a fresh decision, and
+/// replaying a load with the same client seeds replays the identical
+/// fault schedule at any server width. Requests without a rid (control
+/// operations like `stats` and `shutdown`) are never faulted.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetFaultPlan {
-    seed: u64,
-    rate: f64,
-}
+pub struct NetFaultPlan(Seeded);
+
+seeded_plan!(NetFaultPlan, NETFAULT_SEED_ENV, NETFAULT_RATE_ENV);
 
 /// Domain-separation constant for the net decision stream.
 const NET_STREAM_SALT: u64 = 0x4E7F_A017_C0FF_EE00;
 
+/// [`NetFaultPlan`]'s kind table: 25% dropped request, 25% dropped
+/// response, 20% partial response, 20% delay, 10% reset.
+pub const NET_KINDS: &KindTable<NetFaultKind> = &[
+    (0.25, |_| NetFaultKind::DropRequest),
+    (0.50, |_| NetFaultKind::DropResponse),
+    // Strictly below 1 so the frame is always actually torn.
+    (0.70, |rng| NetFaultKind::PartialResponse {
+        keep_frac: rng.gen_f64() * 0.95,
+    }),
+    (0.90, |rng| NetFaultKind::Delay {
+        extra_ms: rng.gen_range(1u32..=50),
+    }),
+    (1.0, |_| NetFaultKind::Reset),
+];
+
 impl NetFaultPlan {
-    /// A plan faulting each rid-stamped request with probability `rate`
-    /// (clamped to `[0, 1]`). Scheduled faults split 25% dropped request
-    /// / 25% dropped response / 20% partial response / 20% delay / 10%
-    /// reset.
-    pub fn new(seed: u64, rate: f64) -> Self {
-        NetFaultPlan {
-            seed,
-            rate: rate.clamp(0.0, 1.0),
-        }
-    }
-
-    /// The plan seed (for replay reporting).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Per-request fault probability.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
     /// The fault scheduled for request id `rid`, or `None` for clean
     /// delivery. Pure in `(self, rid)`.
     pub fn fault_for(&self, rid: u64) -> Option<NetFaultKind> {
-        if self.rate <= 0.0 {
-            return None;
-        }
-        let mut rng = StdRng::seed_from_u64(mix(self.seed ^ NET_STREAM_SALT, rid));
-        if rng.gen_f64() >= self.rate {
-            return None;
-        }
-        let u = rng.gen_f64();
-        if u < 0.25 {
-            Some(NetFaultKind::DropRequest)
-        } else if u < 0.50 {
-            Some(NetFaultKind::DropResponse)
-        } else if u < 0.70 {
-            Some(NetFaultKind::PartialResponse {
-                // Strictly below 1 so the frame is always actually torn.
-                keep_frac: rng.gen_f64() * 0.95,
-            })
-        } else if u < 0.90 {
-            Some(NetFaultKind::Delay {
-                extra_ms: rng.gen_range(1u32..=50),
-            })
-        } else {
-            Some(NetFaultKind::Reset)
-        }
+        self.0.decide(NET_STREAM_SALT, rid, NET_KINDS)
     }
-
-    /// Builds a plan from `SMOKESCREEN_NETFAULT_SEED` /
-    /// `SMOKESCREEN_NETFAULT_RATE`. Returns `None` when the rate is
-    /// unset or zero; malformed values are a loud startup error, matching
-    /// [`FaultPlan::from_env`].
-    pub fn from_env() -> Option<Self> {
-        match Self::parse_env(
-            std::env::var(NETFAULT_SEED_ENV).ok().as_deref(),
-            std::env::var(NETFAULT_RATE_ENV).ok().as_deref(),
-        ) {
-            Ok(plan) => plan,
-            Err(msg) => panic!("{msg}"),
-        }
-    }
-
-    /// Parse layer behind [`NetFaultPlan::from_env`], exposed for tests.
-    pub fn parse_env(seed: Option<&str>, rate: Option<&str>) -> Result<Option<Self>, String> {
-        let seed = parse_seed(NETFAULT_SEED_ENV, seed)?;
-        match parse_rate(NETFAULT_RATE_ENV, rate)? {
-            Some(rate) if rate > 0.0 => Ok(Some(NetFaultPlan::new(seed, rate))),
-            _ => Ok(None),
-        }
-    }
-}
-
-/// Strictly parses a seed variable: unset defaults to 0, anything set
-/// must be a decimal `u64`.
-pub fn parse_seed(var: &str, raw: Option<&str>) -> Result<u64, String> {
-    match raw {
-        None => Ok(0),
-        Some(s) => s.trim().parse().map_err(|_| {
-            format!("{var} must be a decimal u64 seed, got {s:?}")
-        }),
-    }
-}
-
-/// Strictly parses a rate variable: unset means disabled, anything set
-/// must be a finite `f64` in `[0, 1]`.
-pub fn parse_rate(var: &str, raw: Option<&str>) -> Result<Option<f64>, String> {
-    match raw {
-        None => Ok(None),
-        Some(s) => {
-            let rate: f64 = s
-                .trim()
-                .parse()
-                .map_err(|_| format!("{var} must be a rate in [0, 1], got {s:?}"))?;
-            if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-                return Err(format!("{var} must be a rate in [0, 1], got {s:?}"));
-            }
-            Ok(Some(rate))
-        }
-    }
-}
-
-/// Avalanches `(seed, key)` into one well-mixed 64-bit stream seed
-/// (SplitMix64 finalizer over both words). Shared by every seeded plan;
-/// plans driven by one seed stay independent by XOR-ing their own stream
-/// salt into the seed first.
-pub fn mix(seed: u64, key: u64) -> u64 {
-    let mut x = seed ^ key.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -123,10 +123,7 @@ fn sibling_tmp_path(path: &Path) -> PathBuf {
 /// default. A set-but-empty value is a loud startup error: silently
 /// ignoring it would disable durability the operator asked for.
 pub fn checkpoint_dir_from_env() -> Option<PathBuf> {
-    match parse_checkpoint_dir(std::env::var_os(CHECKPOINT_DIR_ENV).as_deref()) {
-        Ok(dir) => dir,
-        Err(msg) => panic!("{msg}"),
-    }
+    crate::knob::get(CHECKPOINT_DIR_ENV, &crate::knob::PATH)
 }
 
 /// Parse layer behind [`checkpoint_dir_from_env`], exposed for tests:
@@ -135,14 +132,7 @@ pub fn checkpoint_dir_from_env() -> Option<PathBuf> {
 pub fn parse_checkpoint_dir(
     raw: Option<&std::ffi::OsStr>,
 ) -> Result<Option<PathBuf>, String> {
-    match raw {
-        None => Ok(None),
-        Some(v) if v.is_empty() => Err(format!(
-            "{CHECKPOINT_DIR_ENV} is set but empty; unset it to disable checkpointing \
-             or point it at a writable directory"
-        )),
-        Some(v) => Ok(Some(PathBuf::from(v))),
-    }
+    crate::knob::parse(CHECKPOINT_DIR_ENV, raw, &crate::knob::PATH)
 }
 
 /// The header every record log starts with: `magic` | format `version`

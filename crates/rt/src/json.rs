@@ -470,17 +470,21 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input came from &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError::new("invalid utf-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty checked above");
-                    if (c as u32) < 0x20 {
+                    // Consume the run of plain characters up to the next
+                    // quote, escape or control byte. The input came from a
+                    // &str and the run ends before an ASCII byte, so it is
+                    // valid UTF-8 on its own; validating only the run keeps
+                    // the parse linear in the document length.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    if self.pos == start {
                         return Err(JsonError::new("unescaped control character in string"));
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| JsonError::new("invalid utf-8 in string"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -649,6 +653,10 @@ mod tests {
             Json::parse(r#""a\nb\u00e9\u0041""#).unwrap(),
             Json::Str("a\nbéA".into())
         );
+        assert_eq!(
+            Json::parse("\"héllo ✓\\t!\"").unwrap(),
+            Json::Str("héllo ✓\t!".into())
+        );
     }
 
     #[test]
@@ -664,7 +672,7 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in [
             "", "{", "[1,", "{\"a\":}", "nul", "01x", "\"unterminated",
-            "[1] trailing", "{\"a\" 1}", "\"\\q\"",
+            "[1] trailing", "{\"a\" 1}", "\"\\q\"", "\"a\u{1}b\"",
         ] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }

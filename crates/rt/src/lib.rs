@@ -13,8 +13,9 @@
 //! | [`sync`]      | `parking_lot`           | direct-guard `Mutex`/`RwLock` over `std::sync` |
 //! | [`pool`]      | `rayon` (subset)        | persistent, deterministic `parallel_map`/`scope` worker pool |
 //! | [`proptest`]  | `proptest`              | seeded case generation, replay via printed seed, no shrinking |
-//! | [`bench`]     | `criterion`             | warm-up + min/mean timer + counting allocator under the libtest harness |
-//! | [`fault`]     | — (new subsystem)       | seeded, replayable fault + crash schedules for chaos testing; the seed/rate parsers and stream mixer every seeded plan shares |
+//! | [`bench`]     | `criterion`             | repeated median/p95 timer + counting allocator, behind the `trajectory` harness |
+//! | [`fault`]     | — (new subsystem)       | one seeded-decision core (`Seeded`: seed, rate, roll) and the kind tables of the model, crash, disk and net fault plans |
+//! | [`knob`]      | — (new subsystem)       | the one strict reader of every `SMOKESCREEN_*` environment knob |
 //! | [`journal`]   | — (new subsystem)       | one crash-consistent record-log core (file header, durable append, frame walk, atomic repair) with two formats on it: the checkpoint journal here and `serve::store`'s data segment |
 //!
 //! Determinism is a hard requirement here, not a convenience: the paper's
@@ -30,6 +31,7 @@ pub mod bench;
 pub mod fault;
 pub mod journal;
 pub mod json;
+pub mod knob;
 pub mod pool;
 pub mod proptest;
 pub mod rng;

@@ -42,9 +42,11 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Condvar, OnceLock, PoisonError};
 
+use crate::knob;
 use crate::sync::Mutex;
 
-/// Environment variable overriding the automatic worker count.
+/// Environment variable overriding the automatic worker count. Strictly
+/// parsed: anything set must be a positive integer.
 pub const THREADS_ENV: &str = "SMOKESCREEN_THREADS";
 
 /// Environment variable pinning the chunk size (items per claim) instead
@@ -93,29 +95,20 @@ impl Default for Pool {
     }
 }
 
-/// Resolves the automatic worker count: `SMOKESCREEN_THREADS` when set to
-/// a positive integer, else the machine's available parallelism, else 1.
+/// Resolves the automatic worker count: `SMOKESCREEN_THREADS` when set
+/// (a positive integer; anything else panics), else the machine's
+/// available parallelism, else 1.
 pub fn auto_threads() -> usize {
-    if let Some(n) = std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    knob::get(THREADS_ENV, &knob::POSITIVE).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
-/// Reads the `SMOKESCREEN_CHUNK` pin; set-but-malformed values panic, in
-/// line with the other strictly-parsed workspace knobs (`rt::fault`).
+/// Reads the `SMOKESCREEN_CHUNK` pin; set-but-malformed values panic.
 fn chunk_override() -> Option<usize> {
-    let raw = std::env::var(CHUNK_ENV).ok()?;
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => panic!("{CHUNK_ENV} must be a positive integer, got {raw:?}"),
-    }
+    knob::get(CHUNK_ENV, &knob::POSITIVE)
 }
 
 /// Size of the next chunk claim under guided self-scheduling: a

@@ -11,10 +11,14 @@
 //! * `SMOKESCREEN_PT_CASES=<n>` overrides the per-test case count
 //!   (default 64).
 //!
+//! Both are read under the `rt::knob` policy: a malformed seed or a case
+//! count below 1 fails the test loudly instead of replaying nothing.
+//!
 //! Case generation is deterministic: each test derives its base seed from
 //! its own name, so suites are reproducible run-to-run and across
 //! machines.
 
+use crate::knob;
 use crate::rng::StdRng;
 use std::fmt::Debug;
 use std::ops::{Range, RangeInclusive};
@@ -169,21 +173,17 @@ pub mod collection {
     }
 }
 
-/// Number of cases each property runs (env-overridable).
+/// Number of cases each property runs: `SMOKESCREEN_PT_CASES` if set (a
+/// positive integer, so a property can never pass vacuously), else 64.
 pub fn case_count() -> u64 {
-    std::env::var("SMOKESCREEN_PT_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64)
+    knob::get("SMOKESCREEN_PT_CASES", &knob::POSITIVE).map_or(64, |n| n as u64)
 }
 
-/// Base seed for a property test: `SMOKESCREEN_PT_SEED` if set, else an
-/// FNV-1a hash of the test name (stable across runs and platforms).
+/// Base seed for a property test: `SMOKESCREEN_PT_SEED` if set (a decimal
+/// `u64`, as printed on failure), else an FNV-1a hash of the test name
+/// (stable across runs and platforms).
 pub fn base_seed(test_name: &str) -> u64 {
-    if let Some(seed) = std::env::var("SMOKESCREEN_PT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
+    if let Some(seed) = knob::get("SMOKESCREEN_PT_SEED", &knob::SEED) {
         return seed;
     }
     let mut hash: u64 = 0xCBF2_9CE4_8422_2325;

@@ -11,14 +11,17 @@
 //! the paper's Hoeffding–Serfling / Bernstein bounds stay sound under
 //! such shifts and where they silently bend.
 //!
-//! Like [`rt::fault`](smokescreen_rt), every decision is a **pure
-//! function** of `(plan, frame index)` — never of shared mutable state or
-//! of frame *content* — derived from a seeded xoshiro256\*\* stream. Two
-//! runs with the same plan perturb the identical frame set with the
-//! identical parameters at any thread count, which keeps perturbed runs
-//! replayable bit-for-bit and (crucially for the audit) keeps the
-//! perturbed population fixed *before* any sampling happens, so uniform
-//! sampling remains uniform over the perturbed stream.
+//! It is the fifth kind table on `rt::fault`'s seeded-decision core: the
+//! plan is a [`Seeded`] `(seed, rate)` plus its own stream salt and one
+//! [`PerturbKind`], and every decision is a **pure function** of `(plan,
+//! frame index)` — never of shared mutable state or of frame *content*.
+//! The roll's rate coin decides whether a frame is perturbed, and the same
+//! rolled stream draws the kind's parameters. Two runs with the same plan
+//! perturb the identical frame set with the identical parameters at any
+//! thread count, which keeps perturbed runs replayable bit-for-bit and
+//! (crucially for the audit) keeps the perturbed population fixed *before*
+//! any sampling happens, so uniform sampling remains uniform over the
+//! perturbed stream.
 //!
 //! The plan schedules five perturbation kinds:
 //!
@@ -43,15 +46,16 @@
 //!
 //! Replay recipe: set `SMOKESCREEN_PERTURB_SEED`, `SMOKESCREEN_PERTURB_RATE`
 //! and `SMOKESCREEN_PERTURB_KIND` and build the plan with
-//! [`PerturbPlan::from_env`]. Malformed values are a *loud* startup error
-//! (a panic naming the variable and the offending string), matching the
-//! FAULT/CRASH convention: a typo in a chaos knob must never silently run
-//! the perturbations-disabled configuration.
+//! [`PerturbPlan::from_env`]. All three are read under the `rt::knob`
+//! policy: a malformed value is a loud startup error naming the variable
+//! and the raw string, never a silently disabled plan.
 
+use std::ffi::OsStr;
 use std::fmt;
 use std::str::FromStr;
 
-use smokescreen_rt::fault::{mix, parse_rate, parse_seed};
+use smokescreen_rt::fault::Seeded;
+use smokescreen_rt::knob::{self, Kind};
 use smokescreen_rt::rng::StdRng;
 
 use crate::corpus::VideoCorpus;
@@ -87,6 +91,12 @@ pub enum PerturbKind {
     Drift,
 }
 
+/// The `SMOKESCREEN_PERTURB_KIND` value kind.
+const KIND: Kind<PerturbKind> = Kind {
+    what: "a perturbation kind (occlusion|glare|shake|label-flip|drift)",
+    parse: knob::text::<PerturbKind>,
+};
+
 impl PerturbKind {
     /// All kinds, in a stable order (the audit matrix sweeps this).
     pub const ALL: [PerturbKind; 5] = [
@@ -105,6 +115,30 @@ impl PerturbKind {
             PerturbKind::Shake => "shake",
             PerturbKind::LabelFlip => "label-flip",
             PerturbKind::Drift => "drift",
+        }
+    }
+
+    /// The kind table: draws this kind's parameters from a rolled stream.
+    fn draw(self, rng: &mut StdRng) -> Perturbation {
+        match self {
+            PerturbKind::Occlusion => Perturbation::Occlusion {
+                x: rng.gen_f64() as f32 * 0.6,
+                y: rng.gen_f64() as f32 * 0.6,
+                w: 0.25 + 0.35 * rng.gen_f64() as f32,
+                h: 0.25 + 0.35 * rng.gen_f64() as f32,
+                severity: 0.6 + 0.35 * rng.gen_f64() as f32,
+            },
+            PerturbKind::Glare => Perturbation::Glare {
+                attenuation: 0.25 + 0.45 * rng.gen_f64() as f32,
+            },
+            PerturbKind::Shake => Perturbation::Shake {
+                dx: (rng.gen_f64() as f32 - 0.5) * 0.12,
+                dy: (rng.gen_f64() as f32 - 0.5) * 0.12,
+            },
+            PerturbKind::LabelFlip => Perturbation::LabelFlip,
+            PerturbKind::Drift => Perturbation::Drift {
+                extra_copies: rng.gen_range(1u32..=2),
+            },
         }
     }
 }
@@ -185,8 +219,7 @@ pub enum Perturbation {
 /// independence") rests on exactly this property.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerturbPlan {
-    seed: u64,
-    rate: f64,
+    stream: Seeded,
     kind: PerturbKind,
 }
 
@@ -196,20 +229,19 @@ impl PerturbPlan {
     /// the stream rather than a per-frame probability.
     pub fn new(seed: u64, rate: f64, kind: PerturbKind) -> Self {
         PerturbPlan {
-            seed,
-            rate: rate.clamp(0.0, 1.0),
+            stream: Seeded::new(seed, rate),
             kind,
         }
     }
 
     /// The plan seed (for replay reporting).
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.stream.seed()
     }
 
     /// Per-frame perturbation probability (tail fraction for drift).
     pub fn rate(&self) -> f64 {
-        self.rate
+        self.stream.rate()
     }
 
     /// The perturbation kind this plan injects.
@@ -221,17 +253,10 @@ impl PerturbPlan {
     /// `SMOKESCREEN_PERTURB_RATE` / `SMOKESCREEN_PERTURB_KIND`. Returns
     /// `None` when the rate is unset or zero — the perturbations-disabled
     /// configuration. Malformed values (including a positive rate with no
-    /// kind, or a bogus kind even when disabled) are a loud startup error,
-    /// matching [`FaultPlan::from_env`](smokescreen_rt::fault::FaultPlan).
+    /// kind, or a bogus kind even when disabled) are a loud startup error.
     pub fn from_env() -> Option<Self> {
-        match Self::parse_env(
-            std::env::var(PERTURB_SEED_ENV).ok().as_deref(),
-            std::env::var(PERTURB_RATE_ENV).ok().as_deref(),
-            std::env::var(PERTURB_KIND_ENV).ok().as_deref(),
-        ) {
-            Ok(plan) => plan,
-            Err(msg) => panic!("{msg}"),
-        }
+        let kind = knob::get(PERTURB_KIND_ENV, &KIND);
+        knob::loud(Self::armed(Seeded::from_env(PERTURB_SEED_ENV, PERTURB_RATE_ENV), kind))
     }
 
     /// Parse layer behind [`PerturbPlan::from_env`], exposed for tests.
@@ -241,25 +266,20 @@ impl PerturbPlan {
         rate: Option<&str>,
         kind: Option<&str>,
     ) -> Result<Option<Self>, String> {
-        let seed = parse_seed(PERTURB_SEED_ENV, seed)?;
-        // The kind is validated even when the rate leaves the plan
-        // disabled — a typo'd kind is a configuration bug either way.
-        let kind = match kind {
-            None => None,
-            Some(raw) => Some(
-                raw.parse::<PerturbKind>()
-                    .map_err(|e| format!("{PERTURB_KIND_ENV}: {e}"))?,
-            ),
-        };
-        match parse_rate(PERTURB_RATE_ENV, rate)? {
-            Some(rate) if rate > 0.0 => match kind {
-                Some(kind) => Ok(Some(PerturbPlan::new(seed, rate, kind))),
-                None => Err(format!(
-                    "{PERTURB_KIND_ENV} must be set when {PERTURB_RATE_ENV} > 0 \
-                     (expected occlusion|glare|shake|label-flip|drift)"
-                )),
-            },
-            _ => Ok(None),
+        let kind = knob::parse(PERTURB_KIND_ENV, kind.map(OsStr::new), &KIND)?;
+        let stream = Seeded::parse_env(PERTURB_SEED_ENV, seed, PERTURB_RATE_ENV, rate)?;
+        Self::armed(stream, kind)
+    }
+
+    /// An armed stream needs a kind; a disabled one ignores it.
+    fn armed(stream: Option<Seeded>, kind: Option<PerturbKind>) -> Result<Option<Self>, String> {
+        match (stream, kind) {
+            (None, _) => Ok(None),
+            (Some(stream), Some(kind)) => Ok(Some(PerturbPlan { stream, kind })),
+            (Some(_), None) => Err(format!(
+                "{PERTURB_KIND_ENV} must be set when {PERTURB_RATE_ENV} > 0 \
+                 (expected occlusion|glare|shake|label-flip|drift)"
+            )),
         }
     }
 
@@ -272,47 +292,20 @@ impl PerturbPlan {
     /// [`PerturbKind::Drift`], whose regime is the final `rate` fraction
     /// of the stream.
     pub fn decision(&self, frame_idx: u64, population: u64) -> Option<Perturbation> {
-        if self.rate <= 0.0 {
-            return None;
-        }
-        let mut rng = StdRng::seed_from_u64(mix(self.seed ^ PERTURB_STREAM_SALT, frame_idx));
-        match self.kind {
+        let mut rng = match self.kind {
+            // Tail regime, not a coin flip: drift starts at a fixed frame
+            // and stays on, which is what "the traffic changed" means. The
+            // stream only draws the per-frame magnitude.
             PerturbKind::Drift => {
-                // Tail regime, not a coin flip: drift starts at a fixed
-                // frame and stays on, which is what "the traffic changed"
-                // means. The rng only draws the per-frame magnitude.
-                let start = (population as f64 * (1.0 - self.rate)).ceil() as u64;
+                let start = (population as f64 * (1.0 - self.rate())).ceil() as u64;
                 if frame_idx < start {
                     return None;
                 }
-                Some(Perturbation::Drift {
-                    extra_copies: rng.gen_range(1u32..=2),
-                })
+                self.stream.stream(PERTURB_STREAM_SALT, frame_idx)?
             }
-            kind => {
-                if rng.gen_f64() >= self.rate {
-                    return None;
-                }
-                Some(match kind {
-                    PerturbKind::Occlusion => Perturbation::Occlusion {
-                        x: rng.gen_f64() as f32 * 0.6,
-                        y: rng.gen_f64() as f32 * 0.6,
-                        w: 0.25 + 0.35 * rng.gen_f64() as f32,
-                        h: 0.25 + 0.35 * rng.gen_f64() as f32,
-                        severity: 0.6 + 0.35 * rng.gen_f64() as f32,
-                    },
-                    PerturbKind::Glare => Perturbation::Glare {
-                        attenuation: 0.25 + 0.45 * rng.gen_f64() as f32,
-                    },
-                    PerturbKind::Shake => Perturbation::Shake {
-                        dx: (rng.gen_f64() as f32 - 0.5) * 0.12,
-                        dy: (rng.gen_f64() as f32 - 0.5) * 0.12,
-                    },
-                    PerturbKind::LabelFlip => Perturbation::LabelFlip,
-                    PerturbKind::Drift => unreachable!("handled above"),
-                })
-            }
-        }
+            _ => self.stream.roll(PERTURB_STREAM_SALT, frame_idx)?.1,
+        };
+        Some(self.kind.draw(&mut rng))
     }
 
     /// Applies the plan to a corpus, returning the perturbed corpus.
@@ -323,7 +316,7 @@ impl PerturbPlan {
     /// `"{name}+{kind}@{rate}#{seed}"` so its generation journals and
     /// caches can never cross-contaminate with the clean corpus's.
     pub fn apply(&self, corpus: &VideoCorpus) -> VideoCorpus {
-        if self.rate <= 0.0 {
+        if self.rate() <= 0.0 {
             return corpus.clone();
         }
         let population = corpus.len() as u64;
@@ -340,8 +333,8 @@ impl PerturbPlan {
                 "{}+{}@{}#{}",
                 corpus.name,
                 self.kind.name(),
-                self.rate,
-                self.seed
+                self.rate(),
+                self.seed()
             ),
             corpus.fps,
             corpus.native_resolution,

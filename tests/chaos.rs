@@ -28,6 +28,7 @@ use smokescreen::models::{Detector, SimMaskRcnn, SimYoloV4};
 use smokescreen::video::synth::DatasetPreset;
 use smokescreen::video::{ObjectClass, Resolution};
 use smokescreen_rt::fault::{FaultPlan, FAULT_RATE_ENV};
+use smokescreen_rt::knob;
 
 struct Fixture {
     corpus: smokescreen::video::VideoCorpus,
@@ -356,7 +357,7 @@ fn env_configured_chaos_run_is_deterministic() {
     // — including rate 0 meaning faults disabled; when absent (a bare
     // `cargo test`), fall back to a fixed 5% plan so the path is always
     // exercised.
-    let plan = if std::env::var_os(FAULT_RATE_ENV).is_some() {
+    let plan = if knob::is_set(FAULT_RATE_ENV) {
         FaultPlan::from_env()
     } else {
         Some(FaultPlan::new(42, 0.05))

@@ -37,6 +37,7 @@ use smokescreen::models::{Detector, SimYoloV4};
 use smokescreen::video::synth::DatasetPreset;
 use smokescreen::video::{ObjectClass, Resolution};
 use smokescreen_rt::fault::{CrashKind, CrashPlan, FaultPlan, CRASH_RATE_ENV, FAULT_RATE_ENV};
+use smokescreen_rt::knob;
 use smokescreen_rt::rng::StdRng;
 
 const N_CELLS: usize = 6; // 3 resolutions × 2 removal combos
@@ -334,12 +335,12 @@ fn env_configured_crash_resume_matrix_is_deterministic() {
     // the path exercised. The reference run below uses *no* checkpoint
     // directory, so diffing it against the golden also proves the feature
     // is inert when disabled.
-    let crash = if std::env::var_os(CRASH_RATE_ENV).is_some() {
+    let crash = if knob::is_set(CRASH_RATE_ENV) {
         CrashPlan::from_env()
     } else {
         Some(CrashPlan::new(firing_seeds(0.5, 1)[0], 0.5))
     };
-    let faults = if std::env::var_os(FAULT_RATE_ENV).is_some() {
+    let faults = if knob::is_set(FAULT_RATE_ENV) {
         FaultPlan::from_env()
     } else {
         None
